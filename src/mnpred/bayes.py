@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import betaln, gammaln
 
 from .dm import sample_dirichlet
 from .empirical import nearest_rank_quantile, rank_summary
@@ -77,23 +77,30 @@ class PriorChoice:
     def beta_icc(cls, a: float = 1.0, b: float = 10.0) -> "PriorChoice":
         return cls(kind="beta", beta_a=a, beta_b=b)
 
-    def log_density_eta0(self, eta0: float) -> float:
-        """Log prior density evaluated in eta0 space (no Jacobian)."""
-        if eta0 <= 0.0 or not math.isfinite(eta0):
-            return -math.inf
+    def log_density_eta0(self, eta0: "float | np.ndarray") -> "float | np.ndarray":
+        """Log prior density evaluated in eta0 space (no Jacobian).
+
+        Vectorised over ``eta0``; -inf wherever eta0 is not a positive
+        finite number.
+        """
+        eta0 = np.asarray(eta0, dtype=float)
+        ok = (eta0 > 0.0) & np.isfinite(eta0)
+        x = np.where(ok, eta0, 1.0)
         if self.kind == "cauchy":
-            return (
+            out = (
                 math.log(2.0 / math.pi)
                 - math.log(self.scale)
-                - math.log1p((eta0 / self.scale) ** 2)
+                - np.log1p((x / self.scale) ** 2)
             )
-        a, b = self.beta_a, self.beta_b
-        # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.
-        return (
-            -float(betaln(a, b))
-            - (a + 1.0) * math.log1p(eta0)
-            + (b - 1.0) * (math.log(eta0) - math.log1p(eta0))
-        )
+        else:
+            a, b = self.beta_a, self.beta_b
+            # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.
+            out = (
+                -float(betaln(a, b))
+                - (a + 1.0) * np.log1p(x)
+                + (b - 1.0) * (np.log(x) - np.log1p(x))
+            )
+        return np.where(ok, out, -np.inf)[()]
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,7 @@ def dm_log_pmf(x, n: int, eta) -> float:
 
 
 class _LogPosterior:
-    """Unnormalised log posterior in unconstrained coordinates.
+    """Unnormalised log posterior in unconstrained coordinates, batched over rows.
 
     theta = (additive log-ratios of pi against the last category,
     log eta0).  Includes the two change-of-variable Jacobians, so the
@@ -180,30 +187,41 @@ class _LogPosterior:
             np.sum(gammaln(sizes + 1.0)) - np.sum(gammaln(counts + 1.0))
         )
 
-    def __call__(self, theta: np.ndarray) -> float:
-        logits = np.append(theta[: self.C - 1], 0.0)
-        log_pi = logits - logsumexp(logits)
-        u = float(theta[self.C - 1])
-        eta0 = math.exp(u) if u < 700.0 else math.inf
-        if not math.isfinite(eta0) or eta0 <= 0.0:
-            return -math.inf
-        eta = eta0 * np.exp(log_pi)
-        if np.any(eta <= 0.0):
-            return -math.inf
-        ll = (
-            self.const
-            + self.K * gammaln(eta0)
-            - float(self.size_mult @ gammaln(self.size_vals + eta0))
-            + float(self.count_mult @ gammaln(self.count_vals + eta[self.count_cols]))
-            - self.K * float(np.sum(gammaln(eta)))
-        )
-        lp = ll + self.prior.log_density_eta0(eta0) + float(log_pi.sum()) + u
-        return lp if math.isfinite(lp) else -math.inf
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        """Log densities of the rows of a (J, dim) theta array, shape (J,).
+
+        A row outside the support (log eta0 >= 700, or some eta_c
+        underflowing to 0, as it does when eta0 does) or with a non-finite
+        result scores -inf on its own; the other rows are unaffected.
+        """
+        log_pi = _log_softmax(theta[:, : self.C - 1])
+        u = theta[:, self.C - 1]
+        with np.errstate(all="ignore"):
+            eta0 = np.exp(u)
+            eta = eta0[:, None] * np.exp(log_pi)
+            ok = (u < 700.0) & np.all(eta > 0.0, axis=1)
+            ll = (
+                self.const
+                + self.K * gammaln(eta0)
+                - gammaln(self.size_vals + eta0[:, None]) @ self.size_mult
+                + gammaln(self.count_vals + eta[:, self.count_cols]) @ self.count_mult
+                - self.K * gammaln(eta).sum(axis=1)
+            )
+            lp = ll + self.prior.log_density_eta0(eta0) + log_pi.sum(axis=1) + u
+        return np.where(ok & np.isfinite(lp), lp, -np.inf)
+
+
+def _log_softmax(free: np.ndarray) -> np.ndarray:
+    """log pi from additive log-ratios against the last category, row-wise."""
+    logits = np.concatenate([free, np.zeros(free.shape[:-1] + (1,))], axis=-1)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def log_posterior(theta, data: HistoricalDataset, prior: PriorChoice) -> float:
     """Log posterior density at unconstrained theta (-inf outside the support)."""
-    return _LogPosterior(data, prior)(np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    return float(_LogPosterior(data, prior)(theta[None, :])[0])
 
 
 def _split_rhat(per_chain: np.ndarray) -> float:
@@ -243,72 +261,83 @@ def _initial_theta(data: HistoricalDataset) -> np.ndarray:
 def mcmc_sample(
     data: HistoricalDataset,
     prior: PriorChoice,
-    rng,
+    rng: RngStream,
     chains: int = 4,
     sampling_iters: int = 2500,
     warmup: int = 1000,
 ) -> PosteriorDraws:
     """Adaptive coordinate-wise random-walk Metropolis over (pi, eta0).
 
-    Proposal scales adapt in batches of 50 warmup iterations toward an
-    acceptance rate in [0.20, 0.45] and are frozen afterwards, so the
-    sampling phase targets the exact posterior.  Draws from all chains
-    are pooled in chain order; a split R-hat above 1.05 for any
-    component triggers a ConvergenceWarning.
+    Chain j draws from its own substream ``rng.child(j)``: a 0.1-scale
+    jitter of the moment-based start, then per coordinate update one
+    normal proposal step and one uniform for the accept test.  The chains
+    advance in lockstep, so every coordinate update scores all chains'
+    proposals in one batched log-posterior call.  Proposal scales adapt
+    in batches of 50 warmup iterations toward an acceptance rate in
+    [0.20, 0.45] and are frozen afterwards, so the sampling phase targets
+    the exact posterior.  Draws from all chains are pooled in chain
+    order; a split R-hat above 1.05 for any component triggers a
+    ConvergenceWarning.
     """
+    if not isinstance(rng, RngStream):
+        raise ValidationError("mcmc_sample needs an RngStream: one substream per chain")
     if chains < 2:
         raise ValidationError("need at least 2 chains for the split R-hat diagnostic")
     if sampling_iters < 4 or warmup < 0:
         raise ValidationError("nonsensical iteration counts")
-    stream = rng if isinstance(rng, RngStream) else None
     logp = _LogPosterior(data, prior)
     dim = data.n_categories
     base = _initial_theta(data)
+    gens = [rng.child(j).generator() for j in range(chains)]
 
-    pi_store = np.empty((chains, sampling_iters, dim))
-    eta_store = np.empty((chains, sampling_iters))
-    accept = np.zeros((chains, dim))
-
-    for j in range(chains):
-        gen = stream.child(j).generator() if stream is not None else as_generator(rng)
-        theta, lp_cur = None, -math.inf
+    theta = np.empty((chains, dim))
+    lp_cur = np.empty(chains)
+    for j, gen in enumerate(gens):
         for _ in range(100):
             cand = base + 0.1 * gen.standard_normal(dim)
-            lp_cand = logp(cand)
+            lp_cand = logp(cand[None, :])[0]
             if math.isfinite(lp_cand):
-                theta, lp_cur = cand, lp_cand
+                theta[j], lp_cur[j] = cand, lp_cand
                 break
-        if theta is None:
+        else:
             raise InitializationError(
                 "no finite posterior density near the moment-based start after 100 jitters"
             )
-        scales = np.full(dim, 0.5)
-        batch_acc = np.zeros(dim)
-        for it in range(warmup):
-            for d in range(dim):
-                prop = theta.copy()
-                prop[d] += scales[d] * gen.standard_normal()
-                lp_prop = logp(prop)
-                if math.log(gen.random()) < lp_prop - lp_cur:
-                    theta, lp_cur = prop, lp_prop
-                    batch_acc[d] += 1.0
-            if (it + 1) % _ADAPT_BATCH == 0:
-                rate = batch_acc / _ADAPT_BATCH
-                step = min(0.25, ((it + 1) // _ADAPT_BATCH) ** -0.5)
-                scales[rate > _ACCEPT_BAND[1]] *= math.exp(step)
-                scales[rate < _ACCEPT_BAND[0]] *= math.exp(-step)
-                batch_acc[:] = 0.0
-        for it in range(sampling_iters):
-            for d in range(dim):
-                prop = theta.copy()
-                prop[d] += scales[d] * gen.standard_normal()
-                lp_prop = logp(prop)
-                if math.log(gen.random()) < lp_prop - lp_cur:
-                    theta, lp_cur = prop, lp_prop
-                    accept[j, d] += 1.0
-            logits = np.append(theta[: dim - 1], 0.0)
-            pi_store[j, it] = np.exp(logits - logsumexp(logits))
-            eta_store[j, it] = math.exp(theta[dim - 1])
+
+    scales = np.full((chains, dim), 0.5)
+    step_z = np.empty(chains)
+    log_u = np.empty(chains)
+
+    def sweep(accepted: np.ndarray) -> None:
+        """One update of every coordinate in every chain, counted in ``accepted``."""
+        for d in range(dim):
+            for j, gen in enumerate(gens):
+                step_z[j] = gen.standard_normal()
+                log_u[j] = math.log(gen.random())
+            prop = theta.copy()
+            prop[:, d] += scales[:, d] * step_z
+            lp_prop = logp(prop)
+            take = log_u < lp_prop - lp_cur
+            theta[take] = prop[take]
+            lp_cur[take] = lp_prop[take]
+            accepted[take, d] += 1.0
+
+    batch_acc = np.zeros((chains, dim))
+    for it in range(warmup):
+        sweep(batch_acc)
+        if (it + 1) % _ADAPT_BATCH == 0:
+            rate = batch_acc / _ADAPT_BATCH
+            step = min(0.25, ((it + 1) // _ADAPT_BATCH) ** -0.5)
+            scales[rate > _ACCEPT_BAND[1]] *= math.exp(step)
+            scales[rate < _ACCEPT_BAND[0]] *= math.exp(-step)
+            batch_acc[:] = 0.0
+    accept = np.zeros((chains, dim))
+    theta_store = np.empty((chains, sampling_iters, dim))
+    for it in range(sampling_iters):
+        sweep(accept)
+        theta_store[:, it] = theta
+    pi_store = np.exp(_log_softmax(theta_store[:, :, : dim - 1]))
+    eta_store = np.exp(theta_store[:, :, dim - 1])
 
     accept /= sampling_iters
     rhat = np.array(

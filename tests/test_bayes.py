@@ -10,8 +10,12 @@ from scipy.stats import halfcauchy, multinomial
 
 import mnpred as mp
 from mnpred.bayes import (
+    PosteriorDraws,
     PredictiveSamples,
     PriorChoice,
+    _initial_theta,
+    _LogPosterior,
+    _split_rhat,
     bayes_bonferroni_interval,
     bayes_mean_centered_interval,
     bayes_rank_scs_interval,
@@ -90,6 +94,25 @@ class TestLogPosterior:
         theta = np.array([0.0, 0.0, 800.0])  # eta0 overflows to inf
         assert log_posterior(theta, toy_data, PriorChoice.half_cauchy()) == -math.inf
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("prior", [PriorChoice.half_cauchy(), PriorChoice.beta_icc()])
+    def test_batched_rows_score_independently(self, histo_data, prior):
+        rng = np.random.default_rng(4)
+        theta = np.column_stack([rng.normal(0, 1.5, (6, 4)), rng.normal(1.5, 1.0, 6)])
+        finite = theta.copy()
+        theta[1, 4] = 700.0    # eta0 finite but at the support bound u >= 700
+        theta[2, 4] = 800.0    # eta0 overflows
+        theta[4, 0] = -800.0   # pi_0, hence eta_0, underflows to 0
+        logp = _LogPosterior(histo_data, prior)
+        got = logp(theta)
+        np.testing.assert_array_equal(got[[1, 2, 4]], -math.inf)
+        rest = [0, 3, 5]
+        np.testing.assert_array_equal(got[rest], logp(finite)[rest])
+        for i in rest:
+            assert got[i] == pytest.approx(log_posterior(theta[i], histo_data, prior), rel=1e-9)
+            want = naive_log_posterior(theta[i], histo_data, prior)
+            assert got[i] == pytest.approx(want, rel=1e-9)
+
 
 class TestPriors:
     def test_half_cauchy_matches_scipy(self):
@@ -141,6 +164,93 @@ def draws(histo_data):
         )
 
 
+def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
+    """The chain-at-a-time sampler with a scalar, logsumexp-based log posterior
+    that the lockstep sampler replaced; kept as its oracle."""
+    kernel = _LogPosterior(data, prior)  # only for the compressed count terms
+
+    def log_prior(eta0):
+        if prior.kind == "cauchy":
+            return (
+                math.log(2.0 / math.pi)
+                - math.log(prior.scale)
+                - math.log1p((eta0 / prior.scale) ** 2)
+            )
+        a, b = prior.beta_a, prior.beta_b
+        return (
+            -float(betaln(a, b))
+            - (a + 1.0) * math.log1p(eta0)
+            + (b - 1.0) * (math.log(eta0) - math.log1p(eta0))
+        )
+
+    def logp(theta):
+        logits = np.append(theta[: kernel.C - 1], 0.0)
+        log_pi = logits - logsumexp(logits)
+        u = float(theta[kernel.C - 1])
+        eta0 = math.exp(u) if u < 700.0 else math.inf
+        if not math.isfinite(eta0) or eta0 <= 0.0:
+            return -math.inf
+        eta = eta0 * np.exp(log_pi)
+        if np.any(eta <= 0.0):
+            return -math.inf
+        ll = (
+            kernel.const
+            + kernel.K * gammaln(eta0)
+            - float(kernel.size_mult @ gammaln(kernel.size_vals + eta0))
+            + float(kernel.count_mult @ gammaln(kernel.count_vals + eta[kernel.count_cols]))
+            - kernel.K * float(np.sum(gammaln(eta)))
+        )
+        lp = ll + log_prior(eta0) + float(log_pi.sum()) + u
+        return lp if math.isfinite(lp) else -math.inf
+
+    dim = data.n_categories
+    base = _initial_theta(data)
+    pi_store = np.empty((chains, sampling_iters, dim))
+    eta_store = np.empty((chains, sampling_iters))
+    accept = np.zeros((chains, dim))
+    for j in range(chains):
+        gen = rng.child(j).generator()
+        for _ in range(100):
+            theta = base + 0.1 * gen.standard_normal(dim)
+            lp_cur = logp(theta)
+            if math.isfinite(lp_cur):
+                break
+        scales = np.full(dim, 0.5)
+        batch_acc = np.zeros(dim)
+        for it in range(warmup + sampling_iters):
+            for d in range(dim):
+                prop = theta.copy()
+                prop[d] += scales[d] * gen.standard_normal()
+                lp_prop = logp(prop)
+                if math.log(gen.random()) < lp_prop - lp_cur:
+                    theta, lp_cur = prop, lp_prop
+                    if it < warmup:
+                        batch_acc[d] += 1.0
+                    else:
+                        accept[j, d] += 1.0
+            if it < warmup and (it + 1) % 50 == 0:
+                rate = batch_acc / 50
+                step = min(0.25, ((it + 1) // 50) ** -0.5)
+                scales[rate > 0.45] *= math.exp(step)
+                scales[rate < 0.20] *= math.exp(-step)
+                batch_acc[:] = 0.0
+            if it >= warmup:
+                logits = np.append(theta[: dim - 1], 0.0)
+                pi_store[j, it - warmup] = np.exp(logits - logsumexp(logits))
+                eta_store[j, it - warmup] = math.exp(theta[dim - 1])
+    rhat = np.array(
+        [_split_rhat(pi_store[:, :, c]) for c in range(dim)]
+        + [_split_rhat(np.log(eta_store))]
+    )
+    return PosteriorDraws(
+        pi_global=pi_store.reshape(chains * sampling_iters, dim),
+        eta0=eta_store.reshape(chains * sampling_iters),
+        rhat=rhat,
+        accept_rates=accept / sampling_iters,
+        chains=chains,
+    )
+
+
 class TestMcmc:
     def test_shapes_and_ranges(self, draws):
         assert draws.pi_global.shape == (500, 5)
@@ -171,6 +281,27 @@ class TestMcmc:
     def test_needs_two_chains(self, toy_data):
         with pytest.raises(ValidationError):
             mcmc_sample(toy_data, PriorChoice.half_cauchy(), mp.RngStream(1), chains=1)
+
+    def test_needs_an_rng_stream(self, toy_data):
+        # A shared Generator would have its draws interleaved across chains.
+        for rng in (1, np.random.default_rng(1), mp.RngStream(1).generator()):
+            with pytest.raises(ValidationError, match="RngStream"):
+                mcmc_sample(toy_data, PriorChoice.half_cauchy(), rng)
+
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("prior", [PriorChoice.half_cauchy(), PriorChoice.beta_icc()])
+    def test_lockstep_matches_chain_at_a_time_reference(self, histo_data, prior):
+        kw = dict(chains=3, sampling_iters=250, warmup=200)
+        got = mcmc_sample(histo_data, prior, mp.RngStream(64), **kw)
+        want = reference_mcmc(histo_data, prior, mp.RngStream(64), **kw)
+        np.testing.assert_array_equal(got.accept_rates, want.accept_rates)
+        np.testing.assert_allclose(got.pi_global, want.pi_global, rtol=1e-12)
+        np.testing.assert_allclose(got.eta0, want.eta0, rtol=1e-12)
+        np.testing.assert_allclose(got.rhat, want.rhat, rtol=1e-12)
+        np.testing.assert_array_equal(
+            posterior_predictive(got, 46, mp.RngStream(65)).y_pred,
+            posterior_predictive(want, 46, mp.RngStream(65)).y_pred,
+        )
 
     def test_poor_mixing_warns(self):
         pi = np.array([0.44, 0.22, 0.11, 0.11, 0.11])
