@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .empirical import nearest_rank_quantile
 from .errors import NotPSD, ValidationError
@@ -85,20 +85,20 @@ def equicoordinate_quantile(
     root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
     gen = as_generator(rng)
     shocks = gen.standard_normal((int(n_draws), int(keep.sum())))
-    max_abs = np.abs(shocks @ root.T).max(axis=1)
+    max_abs = np.abs(root @ shocks.T).max(axis=0)
     return nearest_rank_quantile(max_abs, 1.0 - alpha)
 
 
 def pointwise_interval(fit: ModelFit, spec: FutureSpec, clip: bool = True) -> PredictionIntervalSet:
     """Per-category normal interval with no multiplicity adjustment."""
-    q = float(norm.ppf(1.0 - spec.alpha / 2.0))
+    q = float(ndtri(1.0 - spec.alpha / 2.0))
     return scaled_interval_set("pointwise", prediction_point(fit, spec), q, q, spec, clip=clip)
 
 
 def bonferroni_interval(fit: ModelFit, spec: FutureSpec, clip: bool = True) -> PredictionIntervalSet:
     """Normal interval at the Bonferroni-corrected level alpha / C."""
     C = fit.pi_hat.shape[0]
-    q = float(norm.ppf(1.0 - spec.alpha / (2.0 * C)))
+    q = float(ndtri(1.0 - spec.alpha / (2.0 * C)))
     return scaled_interval_set("bonferroni", prediction_point(fit, spec), q, q, spec, clip=clip)
 
 

@@ -21,7 +21,7 @@ def nearest_rank_quantile(values, p: float) -> float:
         raise ValidationError(f"quantile level must lie in (0, 1], got {p}")
     k = int(np.ceil(p * values.shape[0]))
     k = min(max(k, 1), values.shape[0])
-    return float(np.sort(values)[k - 1])
+    return float(np.partition(values, k - 1)[k - 1])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -413,14 +415,32 @@ def test_criterion_10b_fixture_containment_rate(verdict):
     )
 
 
+def predict_with_blas_threads(counts, out, threads):
+    """Run `mnpred predict` in a fresh interpreter with a fixed BLAS thread count.
+
+    OpenBLAS reads its thread count when it loads, so the setting only
+    takes effect in a new process.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    src = os.path.dirname(os.path.dirname(mp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "mnpred.cli", "predict", "--data", counts, "--m", "46",
+            "--methods", "pointwise,mvn,marginal", "--seed", "0", "--out", out,
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(out, "rb") as fh:
+        return fh.read()
+
+
 def test_criterion_11_byte_identical_reruns(
-    overdispersed_report, recovery_run, verdict, monkeypatch
+    overdispersed_report, recovery_run, verdict, tmp_path
 ):
     first_sim = rows_to_csv(simulation_rows([overdispersed_report]), SIMULATION_COLUMNS)
     first_fit_csv = recovery_run[4]
-
-    # the thread-count knob must not leak into results
-    monkeypatch.setenv("MNPRED_THREADS", "7")
 
     scenario = Scenario(
         phi=5.0,
@@ -444,4 +464,18 @@ def test_criterion_11_byte_identical_reruns(
     )
     sim_same = second_sim.encode() == first_sim.encode()
     fit_same = second_fit_csv.encode() == first_fit_csv.encode()
-    verdict(11, sim_same and fit_same, f"simulation bytes equal: {sim_same}, interval bytes equal: {fit_same}")
+
+    # the matmul of the mvn draws is the BLAS-threaded step
+    counts = str(tmp_path / "counts.csv")
+    assert main([
+        "generate", "--K", "10", "--n", "46", "--phi", str(FIXTURE_PHI),
+        "--pi", ",".join(str(p) for p in FIXTURE_PI), "--seed", "1", "--out", counts,
+    ]) == 0
+    one_thread = predict_with_blas_threads(counts, str(tmp_path / "one.csv"), 1)
+    two_threads = predict_with_blas_threads(counts, str(tmp_path / "two.csv"), 2)
+    threads_same = one_thread == two_threads
+    verdict(
+        11, sim_same and fit_same and threads_same,
+        f"simulation bytes equal: {sim_same}, interval bytes equal: {fit_same}, "
+        f"1- and 2-thread BLAS predict bytes equal: {threads_same}",
+    )

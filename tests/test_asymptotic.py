@@ -58,7 +58,27 @@ class TestPredictionCovariance:
             prediction_covariance(broken, mp.FutureSpec(m=10))
 
 
+def reference_equicoordinate_quantile(corr, alpha, rng, n_draws=100_000):
+    """The draws-by-category formula: row-major matmul, row-wise max, full sort."""
+    eigvals, eigvecs = np.linalg.eigh((corr + corr.T) / 2.0)
+    keep = eigvals > 1e-10
+    root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
+    shocks = rng.generator().standard_normal((n_draws, int(keep.sum())))
+    max_abs = np.abs(shocks @ root.T).max(axis=1)
+    k = min(max(int(np.ceil((1.0 - alpha) * n_draws)), 1), n_draws)
+    return float(np.sort(max_abs)[k - 1])
+
+
 class TestEquicoordinateQuantile:
+    @pytest.mark.parametrize("C", [3, 5, 10])
+    def test_matches_reference_formula_exactly(self, C):
+        pi = np.random.default_rng(C).dirichlet(np.full(C, 10.0))
+        fit = make_fit(pi, 2.0, n=200)
+        corr = prediction_covariance(fit, mp.FutureSpec(m=50)).corr
+        for seed in range(3):
+            q = mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(seed))
+            assert q == reference_equicoordinate_quantile(corr, 0.05, mp.RngStream(seed))
+
     def test_perfect_negative_correlation_collapses_to_pointwise(self):
         corr = np.array([[1.0, -1.0], [-1.0, 1.0]])
         q = mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(13), n_draws=400_000)
@@ -92,6 +112,18 @@ class TestAsymptoticIntervals:
     def test_pointwise_multiplier(self, toy_fit):
         ivs = mp.pointwise_interval(toy_fit, mp.FutureSpec(m=40))
         np.testing.assert_allclose(ivs.multiplier_lower, norm.ppf(0.975), rtol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+    @pytest.mark.parametrize("C", range(2, 11))
+    def test_multipliers_equal_scipy_norm_ppf(self, alpha, C):
+        fit = make_fit(np.full(C, 1.0 / C), 2.0)
+        spec = mp.FutureSpec(m=50, alpha=alpha)
+        pw = mp.pointwise_interval(fit, spec)
+        bf = mp.bonferroni_interval(fit, spec)
+        assert np.all(pw.multiplier_lower == norm.ppf(1.0 - alpha / 2.0))
+        assert np.all(pw.multiplier_upper == norm.ppf(1.0 - alpha / 2.0))
+        assert np.all(bf.multiplier_lower == norm.ppf(1.0 - alpha / (2.0 * C)))
+        assert np.all(bf.multiplier_upper == norm.ppf(1.0 - alpha / (2.0 * C)))
 
     def test_bonferroni_multiplier_c5(self):
         fit = make_fit([0.2, 0.2, 0.2, 0.2, 0.2], 2.0)

@@ -34,6 +34,21 @@ class TestNearestRank:
         k = min(max(int(np.ceil(p * len(values))), 1), len(values))
         assert q == srt[k - 1]
 
+    @pytest.mark.parametrize("kind", ["random", "ties", "nan"])
+    def test_matches_full_sort(self, kind):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 100, 1001):
+            if kind == "ties":
+                values = rng.integers(0, 4, size=n).astype(float)
+            else:
+                values = rng.normal(size=n)
+            if kind == "nan":
+                values[rng.choice(n, size=max(1, n // 10), replace=False)] = np.nan
+            srt = np.sort(values)
+            for p in (0.001, 0.05, 0.5, 0.9, 0.95, 0.999, 1.0):
+                k = min(max(int(np.ceil(p * n)), 1), n)
+                np.testing.assert_equal(nearest_rank_quantile(values, p), srt[k - 1])
+
 
 class TestRankSummary:
     def test_toy_oracle_tau_star(self):

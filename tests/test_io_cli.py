@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -477,6 +480,19 @@ class TestCliSimulate:
         for path in (a, b):
             assert main(["simulate", "--config", cfg, "--out", path]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up on every CLI call
+    src = os.path.dirname(os.path.dirname(mp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, mnpred.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_missing_subcommand_is_usage_error(capsys):
