@@ -27,9 +27,7 @@ from .bayes import (
 )
 from .bootstrap import (
     BootstrapEnsemble,
-    CalibrationSettings,
     asymmetric_calibration,
-    bisection_calibrate,
     build_ensemble,
     marginal_calibration,
     masr_interval,
@@ -48,7 +46,6 @@ from .dm import (
 )
 from .empirical import nearest_rank_quantile, rank_summary
 from .errors import (
-    BracketError,
     ConvergenceWarning,
     DegenerateDesign,
     DegenerateRankWarning,

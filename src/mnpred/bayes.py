@@ -28,7 +28,12 @@ from .errors import (
     InitializationError,
     ValidationError,
 )
-from .model import HistoricalDataset, PredictionIntervalSet, clamp_dispersion
+from .model import (
+    HistoricalDataset,
+    PredictionIntervalSet,
+    clamp_dispersion,
+    pearson_dispersion,
+)
 from .rng import RngStream, as_generator
 
 __all__ = [
@@ -244,14 +249,7 @@ def _initial_theta(data: HistoricalDataset) -> np.ndarray:
     C = totals.shape[0]
     pooled = (totals + 0.5) / (data.n_total + 0.5 * C)
     sizes = data.cluster_sizes
-    expected = sizes[:, None] * pooled[None, :]
-    resid = data.counts - expected
-    chi2 = float((resid * resid / expected).sum())
-    K = sizes.shape[0]
-    s_bar = float((resid / expected).sum() / (K * C - K))
-    df = K * C - K - (C - 1)
-    denom = 1.0 + s_bar
-    phi_raw = math.inf if denom == 0.0 else (chi2 / df) / denom
+    phi_raw = float(pearson_dispersion(data.counts, pooled)[2])
     phi = clamp_dispersion(phi_raw, max(2, int(sizes.min())))
     n_bar = float(sizes.mean())
     eta0 = max((n_bar - phi) / (phi - 1.0), 0.5) if phi < n_bar else 0.5

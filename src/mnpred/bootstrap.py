@@ -4,9 +4,12 @@ The ensemble refits the quasi-multinomial model to B synthetic
 historical datasets drawn at the fitted parameters, draws a future
 cluster for each, and keeps the studentised residuals
 z_b = (y*_b - y_hat*_b) / sep*_b.  Interval multipliers are then read
-off the ensemble: by bisection on empirical simultaneous coverage (the
-three calibration variants), as the quantile of the max-|z| statistic,
-or through the distribution-free rank construction.
+off the ensemble as order statistics.  Empirical coverage is a step
+function of one ensemble statistic (max|z|, max(-z) or max(z) over
+categories, or one column of z), so the smallest multiplier that
+reaches a coverage target is that statistic's nearest-rank quantile.
+The distribution-free rank construction takes its bounds from the
+column order statistics at a critical rank.
 """
 
 from __future__ import annotations
@@ -18,29 +21,22 @@ import numpy as np
 
 from .dm import repair_zero_columns, sample_dm_counts, sample_dm_matrix
 from .empirical import nearest_rank_quantile, rank_summary
-from .errors import (
-    BracketError,
-    ConvergenceWarning,
-    DegenerateRankWarning,
-    ValidationError,
-)
+from .errors import DegenerateRankWarning, ValidationError
 from .model import (
     FutureSpec,
     HistoricalDataset,
     ModelFit,
     PredictionIntervalSet,
     clamp_dispersion,
+    pearson_dispersion,
     prediction_point,
-    residual_df,
     scaled_interval_set,
 )
 from .rng import as_generator
 
 __all__ = [
     "BootstrapEnsemble",
-    "CalibrationSettings",
     "build_ensemble",
-    "bisection_calibrate",
     "symmetric_multiplier",
     "asymmetric_multipliers",
     "marginal_multipliers",
@@ -72,25 +68,6 @@ class BootstrapEnsemble:
         return self.z.shape[1]
 
 
-@dataclass(frozen=True)
-class CalibrationSettings:
-    """Bisection controls: coverage tolerance, multiplier bracket, iteration caps."""
-
-    tolerance: float = 0.0025
-    bracket: tuple[float, float] = (0.0, 20.0)
-    max_iterations: int = 60
-    max_doublings: int = 10
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValidationError("tolerance must be positive")
-        lo, hi = self.bracket
-        if not 0.0 <= lo < hi:
-            raise ValidationError(f"bracket must satisfy 0 <= lo < hi, got {self.bracket}")
-        if self.max_iterations < 1 or self.max_doublings < 0:
-            raise ValidationError("iteration caps must be positive")
-
-
 def build_ensemble(
     fit: ModelFit,
     data: HistoricalDataset,
@@ -110,7 +87,6 @@ def build_ensemble(
     if B < 2:
         raise ValidationError("ensemble needs at least 2 replicates")
     gen = as_generator(rng)
-    K, C = data.counts.shape
     m = spec.m
     sizes = data.cluster_sizes
 
@@ -122,14 +98,7 @@ def build_ensemble(
     totals = counts.sum(axis=1)                          # (B, C)
     N_star = n_star.sum(axis=1).astype(float)            # (B,)
     pi_star = totals / N_star[:, None]
-    expected = n_star[:, :, None] * pi_star[:, None, :]
-    resid = counts - expected
-    chi2 = (resid * resid / expected).sum(axis=(1, 2))
-    s_bar = (resid / expected).sum(axis=(1, 2)) / (K * C - K)
-    df = residual_df(K, C)
-    denom = 1.0 + s_bar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_raw = np.where(denom != 0.0, (chi2 / df) / denom, np.inf)
+    phi_raw = pearson_dispersion(counts, pi_star)[2]
     cap = 0.975 * n_star.min(axis=1)
     phi_star = np.where(phi_raw > 1.0, np.minimum(phi_raw, cap), 1.01)
 
@@ -144,92 +113,35 @@ def build_ensemble(
     return BootstrapEnsemble(y_hat_star=y_hat_star, sep_star=sep_star, y_star=y_star, z=z)
 
 
-def bisection_calibrate(coverage_fn, target: float, settings: CalibrationSettings | None = None) -> float:
-    """Smallest multiplier whose empirical coverage is within tolerance of target.
+def symmetric_multiplier(z: np.ndarray, alpha: float) -> float:
+    """Single multiplier calibrated so that |z| <= q in all categories at rate 1-alpha.
 
-    ``coverage_fn`` must be non-decreasing.  The bracket is doubled until
-    it straddles the target (BracketError if it never does); afterwards
-    plain bisection runs until the coverage at the midpoint is within
-    tolerance.  If the iteration cap is hit first, the conservative end
-    of the final bracket is returned under a ConvergenceWarning.
+    This is the smallest q whose ensemble coverage reaches 1 - alpha, the
+    nearest-rank quantile of max|z| that ``masr_multiplier`` computes.
     """
-    s = settings or CalibrationSettings()
-    if not 0.0 < target <= 1.0:
-        raise ValidationError(f"coverage target must lie in (0, 1], got {target}")
-    lo, hi = s.bracket
-    cov_hi = coverage_fn(hi)
-    doublings = 0
-    while cov_hi < target:
-        if doublings >= s.max_doublings:
-            raise BracketError(
-                f"coverage {cov_hi:.4f} at multiplier {hi} still below target "
-                f"{target:.4f} after {s.max_doublings} bracket doublings"
-            )
-        lo, hi = hi, 2.0 * hi
-        cov_hi = coverage_fn(hi)
-        doublings += 1
-    for _ in range(s.max_iterations):
-        mid = 0.5 * (lo + hi)
-        cov = coverage_fn(mid)
-        if abs(cov - target) <= s.tolerance:
-            return mid
-        if cov >= target:
-            hi = mid
-        else:
-            lo = mid
-    warnings.warn(
-        f"bisection stopped after {s.max_iterations} iterations without hitting "
-        f"the target within {s.tolerance}; returning the conservative bracket end",
-        ConvergenceWarning,
-        stacklevel=2,
-    )
-    return hi
+    return masr_multiplier(z, alpha)
 
 
-def _exceedance_curve(stat: np.ndarray):
-    """Coverage function q -> fraction of replicates with stat <= q."""
-    stat = np.sort(stat)
-    B = stat.shape[0]
-
-    def coverage(q: float) -> float:
-        return float(np.searchsorted(stat, q, side="right")) / B
-
-    return coverage
-
-
-def symmetric_multiplier(
-    z: np.ndarray, alpha: float, settings: CalibrationSettings | None = None
-) -> float:
-    """Single multiplier calibrated so that |z| <= q in all categories at rate 1-alpha."""
-    q = bisection_calibrate(
-        _exceedance_curve(np.abs(z).max(axis=1)), 1.0 - alpha, settings
-    )
-    return float(q)
-
-
-def asymmetric_multipliers(
-    z: np.ndarray, alpha: float, settings: CalibrationSettings | None = None
-) -> tuple[float, float]:
+def asymmetric_multipliers(z: np.ndarray, alpha: float) -> tuple[float, float]:
     """Separate lower and upper multipliers, each calibrated to 1 - alpha/2."""
     target = 1.0 - alpha / 2.0
-    q_lo = bisection_calibrate(_exceedance_curve((-z).max(axis=1)), target, settings)
-    q_hi = bisection_calibrate(_exceedance_curve(z.max(axis=1)), target, settings)
-    return float(q_lo), float(q_hi)
+    q_lo = nearest_rank_quantile((-z).max(axis=1), target)
+    q_hi = nearest_rank_quantile(z.max(axis=1), target)
+    return q_lo, q_hi
 
 
-def marginal_multipliers(
-    z: np.ndarray, alpha: float, settings: CalibrationSettings | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-category, per-side multipliers calibrated to 1 - alpha/(2C)."""
+def marginal_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-category, per-side multipliers calibrated to 1 - alpha/(2C).
+
+    A quantile can be negative for a rare category in a small future
+    cluster; it is floored at zero so the interval still includes the
+    point prediction.
+    """
     C = z.shape[1]
     target = 1.0 - alpha / (2.0 * C)
-    q_lo = np.array(
-        [bisection_calibrate(_exceedance_curve(-z[:, c]), target, settings) for c in range(C)]
-    )
-    q_hi = np.array(
-        [bisection_calibrate(_exceedance_curve(z[:, c]), target, settings) for c in range(C)]
-    )
-    return q_lo, q_hi
+    q_lo = np.array([nearest_rank_quantile(-z[:, c], target) for c in range(C)])
+    q_hi = np.array([nearest_rank_quantile(z[:, c], target) for c in range(C)])
+    return np.maximum(q_lo, 0.0), np.maximum(q_hi, 0.0)
 
 
 def masr_multiplier(z: np.ndarray, alpha: float) -> float:
@@ -269,10 +181,9 @@ def symmetric_calibration(
     ensemble: BootstrapEnsemble,
     fit: ModelFit,
     spec: FutureSpec,
-    settings: CalibrationSettings | None = None,
     clip: bool = True,
 ) -> PredictionIntervalSet:
-    q = symmetric_multiplier(ensemble.z, spec.alpha, settings)
+    q = symmetric_multiplier(ensemble.z, spec.alpha)
     return scaled_interval_set("symmetric", prediction_point(fit, spec), q, q, spec, clip=clip)
 
 
@@ -280,10 +191,9 @@ def asymmetric_calibration(
     ensemble: BootstrapEnsemble,
     fit: ModelFit,
     spec: FutureSpec,
-    settings: CalibrationSettings | None = None,
     clip: bool = True,
 ) -> PredictionIntervalSet:
-    q_lo, q_hi = asymmetric_multipliers(ensemble.z, spec.alpha, settings)
+    q_lo, q_hi = asymmetric_multipliers(ensemble.z, spec.alpha)
     return scaled_interval_set(
         "asymmetric", prediction_point(fit, spec), q_lo, q_hi, spec, clip=clip
     )
@@ -293,10 +203,9 @@ def marginal_calibration(
     ensemble: BootstrapEnsemble,
     fit: ModelFit,
     spec: FutureSpec,
-    settings: CalibrationSettings | None = None,
     clip: bool = True,
 ) -> PredictionIntervalSet:
-    q_lo, q_hi = marginal_multipliers(ensemble.z, spec.alpha, settings)
+    q_lo, q_hi = marginal_multipliers(ensemble.z, spec.alpha)
     return scaled_interval_set(
         "marginal", prediction_point(fit, spec), q_lo, q_hi, spec, clip=clip
     )

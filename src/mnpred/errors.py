@@ -33,10 +33,6 @@ class NotPSD(MnpredError):
     """A nominally positive semi-definite matrix has a clearly negative eigenvalue."""
 
 
-class BracketError(MnpredError):
-    """Calibration target unreachable even after expanding the search bracket."""
-
-
 class DomainError(MnpredError):
     """Argument outside the mathematical domain of the function."""
 

@@ -22,7 +22,6 @@ from .bayes import (
     posterior_predictive,
 )
 from .bootstrap import (
-    CalibrationSettings,
     asymmetric_calibration,
     build_ensemble,
     marginal_calibration,
@@ -135,7 +134,6 @@ def compute_intervals(
     requests: tuple[MethodRequest, ...],
     rng: RngStream,
     B: int = 10_000,
-    settings: CalibrationSettings | None = None,
     mvn_draws: int = 100_000,
     chains: int = 4,
     sampling_iters: int = 2500,
@@ -175,11 +173,11 @@ def compute_intervals(
                 fit, spec, rng.child(_STREAM_MVN), n_draws=mvn_draws, clip=clip
             )
         elif kind == "symmetric":
-            result = symmetric_calibration(ensemble, fit, spec, settings, clip=clip)
+            result = symmetric_calibration(ensemble, fit, spec, clip=clip)
         elif kind == "asymmetric":
-            result = asymmetric_calibration(ensemble, fit, spec, settings, clip=clip)
+            result = asymmetric_calibration(ensemble, fit, spec, clip=clip)
         elif kind == "marginal":
-            result = marginal_calibration(ensemble, fit, spec, settings, clip=clip)
+            result = marginal_calibration(ensemble, fit, spec, clip=clip)
         elif kind == "masr":
             result = masr_interval(ensemble, fit, spec, clip=clip)
         elif kind == "rank-scs":

@@ -11,7 +11,6 @@ interval constructions themselves live in sibling modules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ __all__ = [
     "FutureSpec",
     "PredictionPoint",
     "PredictionIntervalSet",
+    "pearson_dispersion",
     "pearson_chi_square",
     "afroz_fletcher_dispersion",
     "clamp_dispersion",
@@ -180,7 +180,7 @@ class PredictionIntervalSet:
         return self.lower.shape[0]
 
 
-def _expected_counts(data: HistoricalDataset, pi) -> np.ndarray:
+def _checked_pi(data: HistoricalDataset, pi) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (data.n_categories,):
         raise ValidationError(
@@ -189,19 +189,36 @@ def _expected_counts(data: HistoricalDataset, pi) -> np.ndarray:
     if np.any(pi <= 0.0):
         c = int(np.argwhere(pi <= 0.0)[0, 0])
         raise ZeroProbability(f"pi[{c}] = {pi[c]} is not strictly positive")
-    return data.cluster_sizes[:, None] * pi[None, :]
-
-
-def pearson_chi_square(data: HistoricalDataset, pi) -> float:
-    """Pearson statistic of the counts against cluster-wise expectations n_k * pi."""
-    expected = _expected_counts(data, pi)
-    resid = data.counts - expected
-    return float((resid * resid / expected).sum())
+    return pi
 
 
 def residual_df(n_clusters: int, n_categories: int) -> int:
     """Degrees of freedom left after the pooled probabilities: (K-1)(C-1)."""
     return n_clusters * n_categories - n_clusters - (n_categories - 1)
+
+
+def pearson_dispersion(counts: np.ndarray, pi: np.ndarray):
+    """Pearson chi^2, mean relative residual s_bar and raw Afroz-Fletcher dispersion.
+
+    ``counts`` has shape (..., K, C) and ``pi`` the matching (..., C); each
+    K x C table is compared with its cluster-wise expectations n_k * pi.
+    The dispersion is chi^2/df / (1 + s_bar), infinite where 1 + s_bar is
+    zero, and not clamped.  Inputs are not validated.
+    """
+    K, C = counts.shape[-2:]
+    expected = counts.sum(axis=-1)[..., :, None] * pi[..., None, :]
+    resid = counts - expected
+    chi2 = (resid * resid / expected).sum(axis=(-2, -1))
+    s_bar = (resid / expected).sum(axis=(-2, -1)) / (K * C - K)
+    denom = 1.0 + s_bar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_raw = np.where(denom != 0.0, (chi2 / residual_df(K, C)) / denom, np.inf)
+    return chi2, s_bar, phi_raw
+
+
+def pearson_chi_square(data: HistoricalDataset, pi) -> float:
+    """Pearson statistic of the counts against cluster-wise expectations n_k * pi."""
+    return float(pearson_dispersion(data.counts, _checked_pi(data, pi))[0])
 
 
 def afroz_fletcher_dispersion(data: HistoricalDataset, pi) -> float:
@@ -211,15 +228,7 @@ def afroz_fletcher_dispersion(data: HistoricalDataset, pi) -> float:
     residual, which removes the leading small-K bias of the plain
     Pearson ratio.
     """
-    expected = _expected_counts(data, pi)
-    resid = data.counts - expected
-    chi2 = float((resid * resid / expected).sum())
-    K, C = data.counts.shape
-    s_bar = float((resid / expected).sum() / (K * C - K))
-    denom = 1.0 + s_bar
-    if denom == 0.0:
-        return math.inf
-    return (chi2 / residual_df(K, C)) / denom
+    return float(pearson_dispersion(data.counts, _checked_pi(data, pi))[2])
 
 
 def clamp_dispersion(phi_raw: float, size_bound: int | float) -> float:
@@ -263,20 +272,14 @@ def fit_model(data: HistoricalDataset) -> ModelFit:
         raise ValidationError("every cluster must contain at least 2 units to fit dispersion")
     K, C = data.counts.shape
     pi_hat = totals / data.n_total
-    expected = data.cluster_sizes[:, None] * pi_hat[None, :]
-    resid = data.counts - expected
-    chi2 = float((resid * resid / expected).sum())
-    s_bar = float((resid / expected).sum() / (K * C - K))
-    df = residual_df(K, C)
-    denom = 1.0 + s_bar
-    phi_raw = math.inf if denom == 0.0 else (chi2 / df) / denom
+    chi2, s_bar, phi_raw = map(float, pearson_dispersion(data.counts, pi_hat))
     phi_hat = clamp_dispersion(phi_raw, int(data.cluster_sizes.min()))
     return ModelFit(
         pi_hat=pi_hat,
         phi_hat=phi_hat,
         phi_raw=phi_raw,
         chi_square=chi2,
-        df=df,
+        df=residual_df(K, C),
         s_bar=s_bar,
         n_params=C - 1,
         n_total=data.n_total,

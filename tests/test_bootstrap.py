@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import mnpred as mp
 from mnpred.bootstrap import (
-    CalibrationSettings,
     asymmetric_multipliers,
-    bisection_calibrate,
     build_ensemble,
     marginal_multipliers,
     masr_multiplier,
@@ -15,12 +12,7 @@ from mnpred.bootstrap import (
 )
 from mnpred.dm import repair_zero_columns, sample_dm_counts, sample_dm_matrix
 from mnpred.empirical import nearest_rank_quantile
-from mnpred.errors import (
-    BracketError,
-    ConvergenceWarning,
-    DegenerateRankWarning,
-    ValidationError,
-)
+from mnpred.errors import DegenerateRankWarning, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -79,27 +71,63 @@ class TestBuildEnsemble:
             build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=10), B=1, rng=mp.RngStream(1))
 
 
-class TestBisection:
-    def test_smooth_oracle(self):
-        cov = lambda q: 2.0 * norm.cdf(q) - 1.0
-        q = bisection_calibrate(cov, 0.95, CalibrationSettings(tolerance=1e-7))
-        assert q == pytest.approx(1.959964, abs=1e-4)
+def _assert_minimal_order_statistic(stat, q, target):
+    """q is a value of stat covering target, and the next-lower value covers less."""
+    assert q in stat
+    assert np.mean(stat <= q) >= target
+    below = stat[stat < q]
+    if below.size:
+        assert np.mean(stat <= below.max()) < target
 
-    def test_bracket_error_when_target_unreachable(self):
-        with pytest.raises(BracketError):
-            bisection_calibrate(lambda q: 0.5, 0.99)
 
-    def test_step_function_returns_conservative_end(self):
-        cov = lambda q: 1.0 if q >= 1.0 else 0.0
-        settings = CalibrationSettings(tolerance=1e-12, max_iterations=25)
-        with pytest.warns(ConvergenceWarning):
-            q = bisection_calibrate(cov, 0.95, settings)
-        assert 1.0 <= q <= 1.001
-        assert cov(q) >= 0.95
+class TestMultipliers:
+    def test_symmetric_is_the_masr_kernel(self):
+        rng = np.random.default_rng(10)
+        for B, C in ((2000, 4), (1999, 5), (37, 3)):
+            z = rng.standard_normal((B, C))
+            for alpha in (0.01, 0.05, 0.10):
+                assert symmetric_multiplier(z, alpha) == masr_multiplier(z, alpha)
 
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValidationError):
-            bisection_calibrate(lambda q: q, 0.0)
+    def test_asymmetric_is_minimal_order_statistic(self):
+        rng = np.random.default_rng(17)
+        for B, C in ((2000, 4), (1999, 5), (37, 3)):
+            z = rng.standard_normal((B, C)) + 0.3
+            for alpha in (0.01, 0.05, 0.10):
+                target = 1.0 - alpha / 2.0
+                q_lo, q_hi = asymmetric_multipliers(z, alpha)
+                assert q_lo == nearest_rank_quantile((-z).max(axis=1), target)
+                assert q_hi == nearest_rank_quantile(z.max(axis=1), target)
+                _assert_minimal_order_statistic((-z).max(axis=1), q_lo, target)
+                _assert_minimal_order_statistic(z.max(axis=1), q_hi, target)
+
+    def test_marginal_is_minimal_order_statistic(self):
+        rng = np.random.default_rng(18)
+        for B, C in ((4000, 3), (1999, 5), (37, 3)):
+            z = rng.standard_normal((B, C))
+            for alpha in (0.01, 0.05, 0.10):
+                target = 1.0 - alpha / (2.0 * C)
+                q_lo, q_hi = marginal_multipliers(z, alpha)
+                for c in range(C):
+                    assert q_lo[c] == nearest_rank_quantile(-z[:, c], target)
+                    assert q_hi[c] == nearest_rank_quantile(z[:, c], target)
+                    _assert_minimal_order_statistic(-z[:, c], q_lo[c], target)
+                    _assert_minimal_order_statistic(z[:, c], q_hi[c], target)
+
+    def test_marginal_negative_quantile_floored(self):
+        # a rare category in a one-unit future cluster: its upper residual
+        # quantile is negative, and the floor keeps y_hat inside the band
+        root = mp.RngStream(3).child(0)
+        data = mp.generate_dataset(10, 100, (0.002, 0.3, 0.698), 2.0, root.child(0), repair=True)
+        fit = mp.fit_model(data)
+        spec = mp.FutureSpec(m=1)
+        ens = build_ensemble(fit, data, spec, B=2000, rng=root.child(1))
+        target = 1.0 - spec.alpha / 6.0
+        assert nearest_rank_quantile(ens.z[:, 0], target) < 0.0
+        q_lo, q_hi = marginal_multipliers(ens.z, spec.alpha)
+        assert q_hi[0] == 0.0
+        assert np.all(q_lo >= 0.0) and np.all(q_hi >= 0.0)
+        s = mp.marginal_calibration(ens, fit, spec, clip=False)
+        assert np.all(s.lower <= s.y_hat) and np.all(s.y_hat <= s.upper)
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(8)
@@ -108,8 +136,6 @@ class TestBisection:
         assert qs[0] <= qs[1] <= qs[2]
         assert qs[2] > qs[0]
 
-
-class TestMultipliers:
     def test_symmetric_hits_empirical_target(self):
         rng = np.random.default_rng(11)
         z = rng.standard_normal((2000, 4))

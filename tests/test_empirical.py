@@ -23,6 +23,11 @@ class TestNearestRank:
         with pytest.raises(ValidationError):
             nearest_rank_quantile(np.array([]), 0.5)
 
+    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
+    def test_level_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValidationError):
+            nearest_rank_quantile(np.array([1.0, 2.0]), p)
+
     @given(
         st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=60),
         st.floats(0.01, 1.0),

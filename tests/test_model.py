@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from mnpred.errors import (
     ZeroCategory,
     ZeroProbability,
 )
+from mnpred.model import pearson_dispersion
 
 
 def count_matrices(min_k=2, max_k=6, min_c=2, max_c=5):
@@ -80,6 +83,35 @@ class TestDispersion:
     def test_chi_square_zero_probability(self, toy_data):
         with pytest.raises(ZeroProbability):
             mp.pearson_chi_square(toy_data, np.array([0.5, 0.5, 0.0]))
+
+    def test_dispersion_validates_pi(self, toy_data):
+        with pytest.raises(ZeroProbability):
+            mp.afroz_fletcher_dispersion(toy_data, np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValidationError):
+            mp.afroz_fletcher_dispersion(toy_data, np.array([0.5, 0.5]))
+
+    @given(count_matrices())
+    def test_fit_matches_scalar_reference(self, counts):
+        """The shared kernel reproduces the scalar Afroz-Fletcher arithmetic bit for bit."""
+        fit = mp.fit_model(mp.HistoricalDataset(counts))
+        K, C = counts.shape
+        expected = counts.sum(axis=1)[:, None] * fit.pi_hat[None, :]
+        resid = counts - expected
+        chi2 = float((resid * resid / expected).sum())
+        s_bar = float((resid / expected).sum() / (K * C - K))
+        denom = 1.0 + s_bar
+        phi_raw = math.inf if denom == 0.0 else (chi2 / mp.residual_df(K, C)) / denom
+        assert (fit.chi_square, fit.s_bar, fit.phi_raw) == (chi2, s_bar, phi_raw)
+        assert fit.phi_raw == mp.afroz_fletcher_dispersion(mp.HistoricalDataset(counts), fit.pi_hat)
+
+    def test_batched_kernel_matches_table_by_table(self):
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 30, size=(40, 7, 4)) + 1
+        pi = counts.sum(axis=1) / counts.sum(axis=(1, 2))[:, None]
+        batched = pearson_dispersion(counts, pi)
+        for b in range(counts.shape[0]):
+            single = pearson_dispersion(counts[b], pi[b])
+            assert [float(x[b]) for x in batched] == [float(x) for x in single]
 
     @given(count_matrices())
     def test_pooled_mle_sums_to_one(self, counts):
