@@ -15,6 +15,7 @@ from mnpred.bayes import (
     PriorChoice,
     _initial_theta,
     _LogPosterior,
+    _replay,
     _split_rhat,
     bayes_bonferroni_interval,
     bayes_mean_centered_interval,
@@ -25,6 +26,17 @@ from mnpred.bayes import (
     posterior_predictive,
 )
 from mnpred.errors import ConvergenceWarning, DomainError, ValidationError
+
+
+def table(C, seed=0, K=12, n=40):
+    """A repaired K x C table at dispersion 3 around a skewed pi."""
+    pi = np.linspace(1.0, 3.0, C)
+    return mp.generate_dataset(
+        K, n, pi / pi.sum(), 3.0, mp.RngStream(700 + C).child(seed), repair=True
+    )
+
+
+PRIORS = [PriorChoice.half_cauchy(), PriorChoice.beta_icc()]
 
 
 class TestDmLogPmf:
@@ -113,6 +125,25 @@ class TestLogPosterior:
             want = naive_log_posterior(theta[i], histo_data, prior)
             assert got[i] == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("C", [3, 5, 10])
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_row_score_independent_of_batch_size(self, C, prior):
+        # With look-ahead a row is scored in batches of different sizes
+        # (one per block length); its score must not depend on the batch.
+        data = table(C)
+        rng = np.random.default_rng(C)
+        theta = np.column_stack(
+            [rng.normal(0.0, 1.5, (124, C - 1)), rng.normal(1.5, 1.0, 124)]
+        )
+        logp = _LogPosterior(data, prior)
+        alone = np.array([logp(theta[i : i + 1])[0] for i in range(124)])
+        assert np.all(np.isfinite(alone))
+        for size in range(2, 125):
+            batched = np.concatenate(
+                [logp(theta[i : i + size]) for i in range(0, 124, size)]
+            )
+            np.testing.assert_array_equal(batched, alone, err_msg=f"batch size {size}")
+
 
 class TestPriors:
     def test_half_cauchy_matches_scipy(self):
@@ -147,6 +178,24 @@ class TestPriors:
             PriorChoice(kind="jeffreys")
         with pytest.raises(ValidationError):
             PriorChoice.half_cauchy(scale=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        # A nan scale used to pass and fail late in mcmc_sample as an
+        # InitializationError; an infinite beta_a gave a nan density.
+        for kw in (
+            dict(kind="cauchy", scale=bad),
+            dict(kind="beta", beta_a=bad),
+            dict(kind="beta", beta_b=bad),
+            dict(kind="cauchy", beta_b=bad),
+        ):
+            with pytest.raises(ValidationError, match="finite"):
+                PriorChoice(**kw)
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_unchecked_density_equals_checked_on_the_support(self, prior):
+        x = np.array([1e-300, 0.02, 1.0, 7.5, 4e3, 1e100])
+        np.testing.assert_array_equal(prior._log_density(x), prior.log_density_eta0(x))
 
 
 @pytest.fixture(scope="module")
@@ -289,11 +338,19 @@ class TestMcmc:
                 mcmc_sample(toy_data, PriorChoice.half_cauchy(), rng)
 
     @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
-    @pytest.mark.parametrize("prior", [PriorChoice.half_cauchy(), PriorChoice.beta_icc()])
-    def test_lockstep_matches_chain_at_a_time_reference(self, histo_data, prior):
+    @pytest.mark.parametrize(
+        "prior, C",
+        [
+            pytest.param(prior, C, id=f"prior{i}" if C == 5 else f"prior{i}-C{C}")
+            for C in (5, 3, 7)
+            for i, prior in enumerate(PRIORS)
+        ],
+    )
+    def test_lockstep_matches_chain_at_a_time_reference(self, histo_data, prior, C):
+        data = histo_data if C == 5 else table(C)
         kw = dict(chains=3, sampling_iters=250, warmup=200)
-        got = mcmc_sample(histo_data, prior, mp.RngStream(64), **kw)
-        want = reference_mcmc(histo_data, prior, mp.RngStream(64), **kw)
+        got = mcmc_sample(data, prior, mp.RngStream(64), **kw)
+        want = reference_mcmc(data, prior, mp.RngStream(64), **kw)
         np.testing.assert_array_equal(got.accept_rates, want.accept_rates)
         np.testing.assert_allclose(got.pi_global, want.pi_global, rtol=1e-12)
         np.testing.assert_allclose(got.eta0, want.eta0, rtol=1e-12)
@@ -302,6 +359,46 @@ class TestMcmc:
             posterior_predictive(got, 46, mp.RngStream(65)).y_pred,
             posterior_predictive(want, 46, mp.RngStream(65)).y_pred,
         )
+
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("C", [2, 3, 4, 5, 7, 10])
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("chains", [2, 4])
+    def test_prefetch_matches_sequential_sweep(self, monkeypatch, C, prior, chains):
+        # Blocks of one coordinate are the plain sequential sweep; most of
+        # these C values end in a partial block.
+        data = table(C, seed=1)
+        kw = dict(chains=chains, sampling_iters=100, warmup=100)
+        got = mcmc_sample(data, prior, mp.RngStream(66), **kw)
+        monkeypatch.setattr("mnpred.bayes._BLOCK", 1)
+        want = mcmc_sample(data, prior, mp.RngStream(66), **kw)
+        np.testing.assert_array_equal(got.pi_global, want.pi_global)
+        np.testing.assert_array_equal(got.eta0, want.eta0)
+        np.testing.assert_array_equal(got.accept_rates, want.accept_rates)
+        np.testing.assert_array_equal(got.rhat, want.rhat)
+
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("C", [2, 3, 4, 5, 7, 10])
+    def test_one_log_posterior_call_per_block(self, monkeypatch, C):
+        # A deterministic guard against a return to one call per coordinate.
+        rows = []
+        score = _LogPosterior.__call__
+
+        def counted(self, theta):
+            rows.append(theta.shape[0])
+            return score(self, theta)
+
+        monkeypatch.setattr(_LogPosterior, "__call__", counted)
+        chains, iters = 3, 60
+        mcmc_sample(
+            table(C, seed=2), PriorChoice.half_cauchy(), mp.RngStream(67),
+            chains=chains, sampling_iters=iters - 50, warmup=50,
+        )
+        start_up = [r for r in rows if r == 1]
+        assert len(start_up) == chains  # every first jitter was finite
+        per_sweep = [chains * (2 ** min(3, C - lo) - 1) for lo in range(0, C, 3)]
+        assert len(per_sweep) == math.ceil(C / 3)
+        assert rows == start_up + per_sweep * iters
 
     def test_poor_mixing_warns(self):
         pi = np.array([0.44, 0.22, 0.11, 0.11, 0.11])
@@ -315,6 +412,54 @@ class TestMcmc:
                 sampling_iters=400,
                 warmup=300,
             )
+
+
+class TestReplay:
+    @staticmethod
+    def sequential(lp_prop, lp_cur, log_u):
+        """The accept tests of a sequential sweep, looking each proposal up
+        by the set of block coordinates it moves."""
+        k = len(log_u[0])
+        out = []
+        for j in range(len(lp_cur)):
+            moved, cur = frozenset(), lp_cur[j]
+            for i in range(k):
+                trial = moved | {i}
+                r = sum(1 << b for b in trial) - 1
+                lp = float(lp_prop[j, r])
+                if log_u[j][i] < lp - cur:
+                    moved, cur = trial, lp
+            out.append((sum(1 << b for b in moved), cur))
+        return out
+
+    def test_minus_inf_proposals_are_rejected(self):
+        inf = math.inf
+        # rows: {0}, {1}, {0,1}, {2}, {0,2}, {1,2}, {0,1,2}
+        lp_prop = np.array(
+            [
+                [-0.5, 9.0, -inf, 9.0, 0.3, 9.0, 9.0],
+                [-inf, -2.0, 9.0, 9.0, 9.0, -inf, 9.0],
+                [-inf, -inf, -inf, -inf, -inf, -inf, -inf],
+            ]
+        )
+        lp_cur = [0.0, -1.0, -4.0]
+        log_u = [[-1.0, -1.0, -1.0], [-1.0, -3.0, -1.0], [-50.0, -50.0, -50.0]]
+        history = _replay(lp_prop, lp_cur, log_u)
+        assert history == [0b101, 0b010, 0]
+        assert lp_cur == [0.3, -2.0, -4.0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_sequential_accept_tests(self, k):
+        rng = np.random.default_rng(k)
+        chains = 50
+        lp_prop = rng.normal(0.0, 1.0, (chains, (1 << k) - 1))
+        lp_prop[rng.random(lp_prop.shape) < 0.3] = -math.inf
+        lp_cur = rng.normal(0.0, 1.0, chains).tolist()
+        log_u = np.log(rng.random((chains, k))).tolist()
+        want = self.sequential(lp_prop, lp_cur, log_u)
+        history = _replay(lp_prop, lp_cur, log_u)
+        assert list(zip(history, lp_cur)) == want
+        assert len(set(history)) > 1
 
 
 class TestPosteriorPredictive:
@@ -335,6 +480,11 @@ class TestPosteriorPredictive:
         np.testing.assert_array_equal(pred.y_pred, again.y_pred)
         with pytest.raises(ValidationError):
             posterior_predictive(draws, 0, mp.RngStream(63))
+
+    def test_needs_an_rng_stream(self, draws):
+        for rng in (62, np.random.default_rng(62), mp.RngStream(62).generator()):
+            with pytest.raises(ValidationError, match="RngStream"):
+                posterior_predictive(draws, 30, rng)
 
 
 def crafted(y_pred, m):
