@@ -27,6 +27,7 @@ from .model import (
 from .rng import as_generator
 
 __all__ = [
+    "MIN_MVN_DRAWS",
     "PredCovariance",
     "prediction_covariance",
     "equicoordinate_quantile",
@@ -40,6 +41,8 @@ __all__ = [
 # more negative than -1e-8 means the input was not a covariance at all.
 _EIG_DROP = 1e-10
 _EIG_NEG = -1e-8
+
+MIN_MVN_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ def equicoordinate_quantile(
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ValidationError("correlation must be a square matrix")
-    if n_draws < 1000:
-        raise ValidationError("equicoordinate quantile needs at least 1000 draws")
+    if n_draws < MIN_MVN_DRAWS:
+        raise ValidationError(f"equicoordinate quantile needs at least {MIN_MVN_DRAWS} draws")
     eigvals, eigvecs = np.linalg.eigh((corr + corr.T) / 2.0)
     if eigvals.min() < _EIG_NEG:
         raise NotPSD(f"most negative eigenvalue {eigvals.min():.3e} is below {_EIG_NEG}")

@@ -4,14 +4,18 @@ The 32 probability vectors are stored exactly as tabulated (a few rows
 sum to 0.99 or 1.05 because of rounding in the source tables); they are
 renormalized when a Scenario is constructed.  Vectors are crossed with
 the cluster-count, size and dispersion grids to give 32 x 4 x 4 x 3 =
-1536 cells.
+1536 cells.  build_scenarios turns a simulate config into the cells to
+run: one custom cell or a prefix-filtered slice of the catalog.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from .methods import FREQUENTIST_METHODS
+from .errors import ValidationError
+from .io import RunConfig
 from .simulation import Scenario
 
 __all__ = [
@@ -21,6 +25,7 @@ __all__ = [
     "CLUSTER_GRID",
     "SIZE_GRID",
     "DISPERSION_GRID",
+    "build_scenarios",
     "catalog_vectors",
     "scenario_catalog",
 ]
@@ -70,6 +75,9 @@ CLUSTER_GRID: tuple[int, ...] = (5, 10, 20, 100)
 SIZE_GRID: tuple[int, ...] = (10, 50, 100, 500)
 DISPERSION_GRID: tuple[float, ...] = (1.01, 5.0, 8.0)
 
+# n_iter, B and S of the original study
+_FULL_SCALE = {"n_iter": 1000, "B": 10_000, "S": 10_000}
+
 
 def catalog_vectors() -> dict[str, np.ndarray]:
     """All 32 probability vectors, renormalized, keyed by id like 'C5-07'."""
@@ -84,29 +92,22 @@ def catalog_vectors() -> dict[str, np.ndarray]:
 
 
 def scenario_catalog(
-    n_iter: int = 500,
-    B: int = 2000,
-    S: int = 4000,
-    methods: tuple[str, ...] | None = None,
     seed: int = 0,
-    full_scale: bool = False,
     clusters: tuple[int, ...] = CLUSTER_GRID,
     sizes: tuple[int, ...] = SIZE_GRID,
     dispersions: tuple[float, ...] = DISPERSION_GRID,
+    **settings: Any,
 ) -> list[Scenario]:
     """Cross the vector catalog with the design grids.
 
     Cells where the generating dispersion would not satisfy phi < n are
     dropped (none with the default grids); sparse-degenerate cells stay
-    in but carry Scenario.sparse = True.  full_scale switches to the
-    n_iter=1000, B=10000, S=10000 settings of the original study.
+    in but carry Scenario.sparse = True.  Cell i gets seed + i; every
+    other keyword (n_iter, B, S, methods, alpha, ...) goes to each
+    Scenario unchanged, so the run settings default to Scenario's.
     """
-    if full_scale:
-        n_iter, B, S = 1000, 10_000, 10_000
-    vectors = catalog_vectors()
     scenarios: list[Scenario] = []
-    idx = 0
-    for vec_id, pi in vectors.items():
+    for vec_id, pi in catalog_vectors().items():
         for K in clusters:
             for n in sizes:
                 for phi in dispersions:
@@ -118,13 +119,51 @@ def scenario_catalog(
                             K=K,
                             n=n,
                             phi=phi,
-                            n_iter=n_iter,
-                            methods=methods if methods is not None else FREQUENTIST_METHODS,
-                            B=B,
-                            S=S,
-                            seed=seed + idx,
+                            seed=seed + len(scenarios),
                             scenario_id=f"{vec_id}-K{K}-n{n}-phi{phi:g}",
+                            **settings,
                         )
                     )
-                    idx += 1
     return scenarios
+
+
+def build_scenarios(cfg: RunConfig) -> list[Scenario]:
+    """The scenarios a `mnpred simulate` config asks for.
+
+    A config with `pi` is one custom cell (K, n and phi required, m
+    defaulting to n); without it, the catalog cells whose id starts with
+    one of the `scenarios` prefixes (all cells when none are given).
+    full_scale replaces n_iter, B and S with the original study's.
+    Settings that would be ignored, and filters that match nothing,
+    raise ValidationError.
+    """
+    settings = dict(
+        n_iter=cfg.n_iter,
+        B=cfg.B,
+        S=cfg.S,
+        methods=cfg.methods,
+        alpha=cfg.alpha,
+        seed=cfg.seed,
+        repair=cfg.repair,
+        chains=cfg.chains,
+        warmup=cfg.warmup,
+        mvn_draws=cfg.mvn_draws,
+        priors=cfg.priors,
+    )
+    if cfg.full_scale:
+        settings.update(_FULL_SCALE)
+    if cfg.pi is None:
+        stray = [name for name in ("K", "n", "m", "phi") if getattr(cfg, name) is not None]
+        if stray:
+            raise ValidationError(f"{', '.join(stray)} set without pi (a custom cell)")
+        prefixes = cfg.scenarios or ("",)
+        scenarios = [s for s in scenario_catalog(**settings) if s.scenario_id.startswith(prefixes)]
+        if not scenarios:
+            raise ValidationError(f"no scenarios match filters {cfg.scenarios}")
+        return scenarios
+    if cfg.scenarios:
+        raise ValidationError("scenarios selects catalog cells and cannot be combined with pi")
+    for name in ("K", "n", "phi"):
+        if getattr(cfg, name) is None:
+            raise ValidationError(f"custom scenario config needs {name}")
+    return [Scenario(pi_true=cfg.pi, K=cfg.K, n=cfg.n, m=cfg.m, phi=cfg.phi, **settings)]

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .catalog import scenario_catalog
+from .catalog import build_scenarios
 from .dm import generate_dataset, sample_dm_counts
 from .errors import MnpredError, ParseError, ValidationError
 from .io import (
@@ -34,7 +33,7 @@ from .io import (
 from .methods import compute_intervals, resolve_methods
 from .model import FutureSpec, fit_model
 from .rng import RngStream
-from .simulation import Scenario, run_simulation
+from .simulation import run_simulation
 
 __all__ = ["main"]
 
@@ -89,17 +88,19 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True, help="flat key = value config file")
     s.add_argument("--out", help="output path (default: stdout)")
     s.add_argument("--format", choices=("csv", "json"))
-    s.add_argument("--full-scale", action="store_true", help="n_iter=1000, B=10000, S=10000")
+    s.add_argument("--full-scale", action="store_true", help="the original study's n_iter, B and S")
     s.set_defaults(func=_cmd_simulate)
     return parser
 
 
-def _pick_format(fmt: str | None, out: str | None) -> str:
+def _pick_format(fmt: str | None, out: str | None, default: str = "csv") -> str:
+    """--format, else a .json or .csv extension on the out path, else default."""
     if fmt:
         return fmt
-    if out and out.lower().endswith(".json"):
-        return "json"
-    return "csv"
+    for ext in ("json", "csv"):
+        if out and out.lower().endswith("." + ext):
+            return ext
+    return default
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -198,74 +199,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    if args.full_scale:
-        cfg.full_scale = True
-    out = args.out if args.out else cfg.out
-    if args.format:
-        fmt = args.format
-    elif out and out.lower().endswith((".csv", ".json")):
-        fmt = "json" if out.lower().endswith(".json") else "csv"
-    else:
-        fmt = cfg.format
-    if cfg.pi is not None:
-        for name in ("K", "n", "phi"):
-            if getattr(cfg, name) is None:
-                raise ValidationError(f"custom scenario config needs {name}")
-        n_iter, B, S = (1000, 10_000, 10_000) if cfg.full_scale else (cfg.n_iter, cfg.B, cfg.S)
-        scenarios = [
-            Scenario(
-                pi_true=np.asarray(cfg.pi, dtype=float),
-                K=cfg.K,
-                n=cfg.n,
-                phi=cfg.phi,
-                m=cfg.m,
-                n_iter=n_iter,
-                methods=cfg.methods,
-                B=B,
-                S=S,
-                alpha=cfg.alpha,
-                seed=cfg.seed,
-                repair=cfg.repair,
-                chains=cfg.chains,
-                warmup=cfg.warmup,
-                mvn_draws=cfg.mvn_draws,
-                priors=cfg.priors,
-            )
-        ]
-    else:
-        scenarios = [
-            replace(
-                s,
-                alpha=cfg.alpha,
-                repair=cfg.repair,
-                chains=cfg.chains,
-                warmup=cfg.warmup,
-                mvn_draws=cfg.mvn_draws,
-                priors=cfg.priors,
-            )
-            for s in scenario_catalog(
-                n_iter=cfg.n_iter,
-                B=cfg.B,
-                S=cfg.S,
-                methods=cfg.methods,
-                seed=cfg.seed,
-                full_scale=cfg.full_scale,
-            )
-        ]
-        if cfg.scenarios:
-            scenarios = [
-                s
-                for s in scenarios
-                if any(s.scenario_id.startswith(p) for p in cfg.scenarios)
-            ]
-        if not scenarios:
-            raise ValidationError(f"no scenarios match filters {cfg.scenarios}")
-    reports = [run_simulation(s) for s in scenarios]
-    rows = simulation_rows(reports)
-    if fmt == "json":
-        _emit(rows_to_json(rows, SIMULATION_COLUMNS), out)
-    else:
-        _emit(rows_to_csv(rows, SIMULATION_COLUMNS), out)
+    cfg.full_scale |= args.full_scale
+    out = args.out or cfg.out
+    fmt = _pick_format(args.format, out, default=cfg.format)
+    rows = simulation_rows([run_simulation(s) for s in build_scenarios(cfg)])
+    render = rows_to_json if fmt == "json" else rows_to_csv
+    _emit(render(rows, SIMULATION_COLUMNS), out)
     return 0
 
 

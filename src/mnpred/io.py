@@ -140,7 +140,11 @@ def parse_future_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
 
 @dataclass
 class RunConfig:
-    """Flat bag of run settings; the simulate config file mirrors these names."""
+    """Flat bag of run settings; the simulate config file mirrors these names.
+
+    The run settings are checked where they are used: catalog.build_scenarios
+    checks which keys go together and Scenario checks each value.
+    """
 
     alpha: float = 0.05
     methods: tuple[str, ...] = ("all",)
@@ -150,7 +154,6 @@ class RunConfig:
     warmup: int = 1000
     seed: int = 0
     priors: tuple[str, ...] = ("cauchy",)
-    clip: bool = True
     format: str = "csv"
     out: str | None = None
     n_iter: int = 500
@@ -167,19 +170,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie strictly between 0 and 1")
-        for name in ("B", "S", "chains", "warmup", "n_iter", "mvn_draws"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be a positive integer")
-
-    @property
-    def sampling_iters(self) -> int:
-        return max(self.S // self.chains, 4)
 
 
 _LIST_KEYS = {"methods", "priors", "scenarios"}
-_BOOL_KEYS = {"clip", "full_scale", "repair"}
+_BOOL_KEYS = {"full_scale", "repair"}
 _INT_KEYS = {"B", "S", "chains", "warmup", "seed", "n_iter", "mvn_draws", "K", "n", "m"}
 _FLOAT_KEYS = {"alpha", "phi"}
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotic import MIN_MVN_DRAWS
 from .dm import generate_dataset, sample_dm_counts
 from .errors import FailureCapError, MnpredError, ValidationError
 from .methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
@@ -74,6 +75,16 @@ class Scenario:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie strictly between 0 and 1")
+        for name in ("B", "S", "chains", "warmup"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be a positive integer")
+        if self.mvn_draws < MIN_MVN_DRAWS:
+            raise ValidationError(f"mvn_draws must be at least {MIN_MVN_DRAWS}")
+
+    @property
+    def sampling_iters(self) -> int:
+        """Posterior draws per chain: S split across the chains, at least 4."""
+        return max(self.S // self.chains, 4)
 
     @property
     def n_categories(self) -> int:
@@ -174,7 +185,6 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
     spec = FutureSpec(m=scenario.m, alpha=scenario.alpha)
     n_failed = 0
     n_completed = 0
-    sampling_iters = max(scenario.S // scenario.chains, 4)
     for i in range(scenario.n_iter):
         it = root.child(i)
         try:
@@ -199,7 +209,7 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
                 B=scenario.B,
                 mvn_draws=scenario.mvn_draws,
                 chains=scenario.chains,
-                sampling_iters=sampling_iters,
+                sampling_iters=scenario.sampling_iters,
                 warmup=scenario.warmup,
             )
         except MnpredError:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mnpred as mp
+from mnpred.catalog import build_scenarios
 from mnpred.cli import main
 from mnpred.errors import ParseError, ValidationError
 from mnpred.io import (
@@ -118,7 +119,6 @@ chains = 2
 warmup = 250
 seed = 9
 priors = cauchy, beta
-clip = false
 format = json
 out = results.json
 n_iter = 50
@@ -137,17 +137,15 @@ phi = 2.5
         assert cfg.methods == ("pointwise", "masr")
         assert cfg.B == 500 and cfg.S == 2000 and cfg.chains == 2
         assert cfg.priors == ("cauchy", "beta")
-        assert cfg.clip is False and cfg.repair is True
+        assert cfg.repair is True
         assert cfg.format == "json" and cfg.out == "results.json"
         assert cfg.scenarios == ("C3-01", "C5")
         assert cfg.pi == (0.3, 0.3, 0.4)
         assert cfg.K == 5 and cfg.n == 20 and cfg.m == 30 and cfg.phi == 2.5
-        assert cfg.sampling_iters == 1000
 
     def test_defaults(self, tmp_path):
         cfg = parse_config(put(tmp_path, "run.cfg", "# nothing set\n"))
         assert cfg == RunConfig()
-        assert cfg.sampling_iters == 2500
 
     def test_unknown_key_reports_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
@@ -163,18 +161,19 @@ phi = 2.5
 
     def test_bool_must_be_true_or_false(self, tmp_path):
         with pytest.raises(ParseError, match="bad value"):
-            parse_config(put(tmp_path, "run.cfg", "clip = yes\n"))
+            parse_config(put(tmp_path, "run.cfg", "repair = yes\n"))
 
     def test_validation_delegated_to_runconfig(self, tmp_path):
         with pytest.raises(ValidationError, match="alpha"):
-            parse_config(put(tmp_path, "run.cfg", "alpha = 2.0\n"))
+            build_scenarios(parse_config(put(tmp_path, "run.cfg", "alpha = 2.0\n")))
         with pytest.raises(ValidationError, match="format"):
             parse_config(put(tmp_path, "run.cfg", "format = xml\n"))
         with pytest.raises(ValidationError, match="B"):
-            parse_config(put(tmp_path, "run.cfg", "B = 0\n"))
+            build_scenarios(parse_config(put(tmp_path, "run.cfg", "B = 0\n")))
 
     def test_small_s_floors_sampling_iters(self):
-        assert RunConfig(S=7).sampling_iters == 4
+        s = Scenario(pi_true=(0.5, 0.5), K=5, n=20, phi=2.0, S=7)
+        assert s.sampling_iters == 4
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +420,11 @@ class TestCliGenerate:
         assert open(paths[0]).read() == open(paths[1]).read()
 
 
+# one catalog cell and one custom cell, each one cheap iteration
+ONE_CELL = "scenarios = C3-01-K5-n10-phi1.01\nn_iter = 1\nmethods = pointwise\nB = 100\n"
+CUSTOM_CELL = "pi = 0.3,0.7\nK = 5\nn = 20\nphi = 2.0\nn_iter = 1\nmethods = pointwise\nB = 100\n"
+
+
 class TestCliSimulate:
     def test_custom_cell(self, tmp_path, capsys):
         cfg = put(
@@ -462,6 +466,57 @@ class TestCliSimulate:
         rc = main(["simulate", "--config", cfg])
         assert rc == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["K = 5", "n = 20", "m = 30", "phi = 2.0"])
+    def test_custom_cell_keys_need_pi(self, tmp_path, capsys, key):
+        cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}{key}\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 3
+        assert err["error"] == "ValidationError"
+        assert f"{key.split()[0]} set without pi" in err["message"]
+
+    def test_scenarios_excludes_pi(self, tmp_path, capsys):
+        cfg = put(tmp_path, "run.cfg", f"{CUSTOM_CELL}scenarios = C99\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 3
+        assert "scenarios" in err["message"]
+
+    def test_clip_key_is_parse_error(self, tmp_path, capsys):
+        cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}clip = false\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 3
+        assert err["error"] == "ParseError"
+        assert "line 5: unknown key 'clip'" in err["message"]
+
+    @pytest.mark.parametrize("setting", ["B = 0", "alpha = 2.0"])
+    def test_bad_run_setting_is_validation_error(self, tmp_path, capsys, setting):
+        cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}{setting}\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 3
+        assert err["error"] == "ValidationError"
+        assert setting.split()[0] in err["message"]
+
+    @pytest.mark.parametrize(
+        "flags, out_name, expected",
+        [
+            ([], "run.txt", "json"),  # no flag, no known extension: the config decides
+            ([], "run.csv", "csv"),  # the extension beats the config
+            (["--format", "csv"], "run.json", "csv"),  # the flag beats both
+        ],
+    )
+    def test_format_precedence(self, tmp_path, flags, out_name, expected):
+        cfg = put(tmp_path, "run.cfg", f"{CUSTOM_CELL}format = json\n")
+        out = str(tmp_path / out_name)
+        assert main(["simulate", "--config", cfg, "--out", out, *flags]) == 0
+        text = open(out).read()
+        if expected == "json":
+            assert json.loads(text)["columns"] == list(SIMULATION_COLUMNS)
+        else:
+            assert text.splitlines()[0] == ",".join(SIMULATION_COLUMNS)
 
     def test_missing_config_is_io_error(self, capsys):
         rc = main(["simulate", "--config", "/nonexistent/run.cfg"])

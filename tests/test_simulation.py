@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,15 @@ from mnpred.catalog import (
     C3_VECTORS,
     C5_VECTORS,
     C10_VECTORS,
+    CLUSTER_GRID,
+    DISPERSION_GRID,
+    SIZE_GRID,
+    build_scenarios,
     catalog_vectors,
     scenario_catalog,
 )
 from mnpred.errors import FailureCapError, ValidationError
+from mnpred.io import RunConfig
 from mnpred.methods import FREQUENTIST_METHODS
 from mnpred.simulation import Scenario, run_simulation, tail_balance
 
@@ -57,6 +64,11 @@ class TestScenario:
             dict(n=1),
             dict(n_iter=0),
             dict(alpha=1.0),
+            dict(B=0),
+            dict(S=0),
+            dict(chains=0),             # would divide by zero in sampling_iters
+            dict(warmup=0),
+            dict(mvn_draws=10),         # below what the mvn quantile accepts
         ],
     )
     def test_rejects_bad_cells(self, kw):
@@ -172,10 +184,108 @@ class TestCatalog:
         assert all(s.n_iter == 500 and s.B == 2000 and s.S == 4000 for s in cells)
 
     def test_full_scale_settings(self):
-        cells = scenario_catalog(full_scale=True, clusters=(5,), sizes=(50,), dispersions=(5.0,))
+        cells = build_scenarios(RunConfig(full_scale=True, scenarios=("C3-01-K5-n50-phi5",)))
         assert all(s.n_iter == 1000 and s.B == 10_000 and s.S == 10_000 for s in cells)
 
     def test_infeasible_dispersion_dropped(self):
         cells = scenario_catalog(clusters=(5,), sizes=(10, 50), dispersions=(12.0,))
         assert all(s.n == 50 for s in cells)
         assert len(cells) == 32
+
+
+def reference_scenarios(cfg):
+    """The scenario logic of `mnpred simulate` before build_scenarios: a
+    custom branch, and a catalog branch that crossed the grids and then
+    replace()d the remaining settings into every cell."""
+    if cfg.pi is not None:
+        for name in ("K", "n", "phi"):
+            if getattr(cfg, name) is None:
+                raise ValidationError(f"custom scenario config needs {name}")
+        n_iter, B, S = (1000, 10_000, 10_000) if cfg.full_scale else (cfg.n_iter, cfg.B, cfg.S)
+        return [
+            Scenario(
+                pi_true=np.asarray(cfg.pi, dtype=float), K=cfg.K, n=cfg.n, phi=cfg.phi,
+                m=cfg.m, n_iter=n_iter, methods=cfg.methods, B=B, S=S, alpha=cfg.alpha,
+                seed=cfg.seed, repair=cfg.repair, chains=cfg.chains, warmup=cfg.warmup,
+                mvn_draws=cfg.mvn_draws, priors=cfg.priors,
+            )
+        ]
+    n_iter, B, S = (1000, 10_000, 10_000) if cfg.full_scale else (cfg.n_iter, cfg.B, cfg.S)
+    cells = []
+    for vec_id, pi in catalog_vectors().items():
+        for K in CLUSTER_GRID:
+            for n in SIZE_GRID:
+                for phi in DISPERSION_GRID:
+                    if phi >= n:
+                        continue
+                    cells.append(
+                        Scenario(
+                            pi_true=pi, K=K, n=n, phi=phi, n_iter=n_iter,
+                            methods=cfg.methods, B=B, S=S, seed=cfg.seed + len(cells),
+                            scenario_id=f"{vec_id}-K{K}-n{n}-phi{phi:g}",
+                        )
+                    )
+    cells = [
+        replace(
+            s, alpha=cfg.alpha, repair=cfg.repair, chains=cfg.chains,
+            warmup=cfg.warmup, mvn_draws=cfg.mvn_draws, priors=cfg.priors,
+        )
+        for s in cells
+    ]
+    if cfg.scenarios:
+        cells = [s for s in cells if any(s.scenario_id.startswith(p) for p in cfg.scenarios)]
+    if not cells:
+        raise ValidationError(f"no scenarios match filters {cfg.scenarios}")
+    return cells
+
+
+def assert_same_scenarios(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(Scenario):
+            if f.name == "pi_true":
+                if a.scenario_id.startswith("C5-03-"):
+                    # the reference's replace() normalised pi once more, and
+                    # this one vector is not a fixed point of x / x.sum()
+                    assert np.array_equal(a.pi_true / a.pi_true.sum(), b.pi_true)
+                else:
+                    assert np.array_equal(a.pi_true, b.pi_true), a.scenario_id
+            else:
+                assert getattr(a, f.name) == getattr(b, f.name), (a.scenario_id, f.name)
+
+
+NON_DEFAULT = dict(
+    alpha=0.1, repair=False, chains=2, warmup=50, mvn_draws=5000,
+    priors=("cauchy", "beta"), n_iter=7, B=300, S=900,
+    methods=("pointwise", "mvn", "bayes-scs"), seed=5,
+)
+
+
+class TestBuildScenarios:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig(scenarios=("C3-01-K5", "C10-0"), **NON_DEFAULT),
+            RunConfig(**NON_DEFAULT),
+            RunConfig(pi=(0.2, 0.3, 0.5), K=6, n=30, m=45, phi=3.0, **NON_DEFAULT),
+            RunConfig(scenarios=("C5",), full_scale=True, **NON_DEFAULT),
+            RunConfig(pi=(0.2, 0.8), K=6, n=30, phi=3.0, full_scale=True, **NON_DEFAULT),
+        ],
+        ids=["catalog-filter", "whole-catalog", "custom-m-ne-n", "catalog-full", "custom-full"],
+    )
+    def test_matches_two_branch_reference(self, cfg):
+        assert_same_scenarios(build_scenarios(cfg), reference_scenarios(cfg))
+
+    def test_c5_03_is_the_only_renormalised_vector(self):
+        # pins the premise of the ulp allowance in assert_same_scenarios
+        moved = [
+            vid for vid, v in catalog_vectors().items()
+            if not np.array_equal(v / v.sum(), (v / v.sum()) / (v / v.sum()).sum())
+        ]
+        assert moved == ["C5-03"]
+
+    def test_defaults_keep_catalog_cells(self):
+        cells = build_scenarios(RunConfig(scenarios=("C3-01-K5-n10-phi1.01",)))
+        assert [s.scenario_id for s in cells] == ["C3-01-K5-n10-phi1.01"]
+        assert cells[0].sampling_iters == 2500
+        assert cells[0].seed == 0
