@@ -39,10 +39,7 @@ from .dm import (
     derive_eta0,
     dm_dispersion,
     generate_dataset,
-    repair_zero_columns,
-    sample_dirichlet,
     sample_dm_counts,
-    sample_dm_matrix,
 )
 from .empirical import nearest_rank_quantile, rank_summary
 from .errors import (

@@ -24,7 +24,7 @@ from .model import (
     prediction_point,
     scaled_interval_set,
 )
-from .rng import as_generator
+from .rng import RngStream, require_stream
 
 __all__ = [
     "MIN_MVN_DRAWS",
@@ -68,7 +68,7 @@ def prediction_covariance(fit: ModelFit, spec: FutureSpec) -> PredCovariance:
 def equicoordinate_quantile(
     corr: np.ndarray,
     alpha: float,
-    rng,
+    rng: RngStream,
     n_draws: int = 100_000,
 ) -> float:
     """(1-alpha) quantile of max_c |Z_c| for Z ~ N(0, corr), by Monte Carlo.
@@ -76,6 +76,7 @@ def equicoordinate_quantile(
     The correlation may be singular, so draws are built from the
     eigendecomposition with near-zero eigenvalues dropped.
     """
+    gen = require_stream(rng, "equicoordinate_quantile").generator()
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise ValidationError("correlation must be a square matrix")
@@ -86,7 +87,6 @@ def equicoordinate_quantile(
         raise NotPSD(f"most negative eigenvalue {eigvals.min():.3e} is below {_EIG_NEG}")
     keep = eigvals > _EIG_DROP
     root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
-    gen = as_generator(rng)
     shocks = gen.standard_normal((int(n_draws), int(keep.sum())))
     max_abs = np.abs(root @ shocks.T).max(axis=0)
     return nearest_rank_quantile(max_abs, 1.0 - alpha)
@@ -108,7 +108,7 @@ def bonferroni_interval(fit: ModelFit, spec: FutureSpec, clip: bool = True) -> P
 def mvn_interval(
     fit: ModelFit,
     spec: FutureSpec,
-    rng,
+    rng: RngStream,
     n_draws: int = 100_000,
     clip: bool = True,
 ) -> PredictionIntervalSet:

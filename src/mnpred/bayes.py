@@ -39,9 +39,10 @@ from .model import (
     clamp_dispersion,
     pearson_dispersion,
 )
-from .rng import RngStream
+from .rng import RngStream, require_stream
 
 __all__ = [
+    "MIN_CHAINS",
     "PriorChoice",
     "PosteriorDraws",
     "PredictiveSamples",
@@ -54,6 +55,8 @@ __all__ = [
     "bayes_rank_scs_interval",
 ]
 
+# Split R-hat compares chains, so it needs at least two.
+MIN_CHAINS = 2
 _RHAT_WARN = 1.05
 _ADAPT_BATCH = 50
 _ACCEPT_BAND = (0.20, 0.45)
@@ -62,6 +65,9 @@ _ACCEPT_BAND = (0.20, 0.45)
 # count outweighs the calls saved (at C=10, K=100, n=500 a block of five ran
 # slower than one coordinate at a time).
 _BLOCK = 3
+# Above this u = eta0 / scale, the cauchy prior takes log1p(u**2) as 2 log u,
+# which it equals to double precision; u**2 overflows past about 1.3e154.
+_SQUARE_SAFE = 1e150
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,14 @@ class PriorChoice:
         """``log_density_eta0`` without its support check; rows of x that are
         not positive finite numbers come out as garbage, not -inf."""
         if self.kind == "cauchy":
-            return (
-                math.log(2.0 / math.pi)
-                - math.log(self.scale)
-                - np.log1p((x / self.scale) ** 2)
-            )
+            u = x / self.scale
+            big = u > _SQUARE_SAFE
+            if big.any():
+                safe = np.minimum(u, _SQUARE_SAFE)
+                tail = np.where(big, 2.0 * np.log(np.maximum(u, _SQUARE_SAFE)), np.log1p(safe**2))
+            else:
+                tail = np.log1p(u**2)
+            return math.log(2.0 / math.pi) - math.log(self.scale) - tail
         a, b = self.beta_a, self.beta_b
         # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.
         return (
@@ -328,10 +337,9 @@ def mcmc_sample(
     pooled in chain order; a split R-hat above 1.05 for any component
     triggers a ConvergenceWarning.
     """
-    if not isinstance(rng, RngStream):
-        raise ValidationError("mcmc_sample needs an RngStream: one substream per chain")
-    if chains < 2:
-        raise ValidationError("need at least 2 chains for the split R-hat diagnostic")
+    require_stream(rng, "mcmc_sample")
+    if chains < MIN_CHAINS:
+        raise ValidationError(f"need at least {MIN_CHAINS} chains for the split R-hat diagnostic")
     if sampling_iters < 4 or warmup < 0:
         raise ValidationError("nonsensical iteration counts")
     logp = _LogPosterior(data, prior)
@@ -431,11 +439,9 @@ def mcmc_sample(
 
 def posterior_predictive(draws: PosteriorDraws, m: int, rng: RngStream) -> PredictiveSamples:
     """One future cluster of m units per posterior draw, drawn from ``rng``."""
-    if not isinstance(rng, RngStream):
-        raise ValidationError("posterior_predictive needs an RngStream")
+    gen = require_stream(rng, "posterior_predictive").generator()
     if m < 1:
         raise ValidationError(f"future cluster size must be positive, got {m}")
-    gen = rng.generator()
     eta = draws.eta0[:, None] * draws.pi_global
     # Exact zeros can only come from floating underflow; nudge them so the
     # Dirichlet sampler keeps its support check.

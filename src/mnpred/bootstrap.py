@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dm import repair_zero_columns, sample_dm_counts, sample_dm_matrix
+from .dm import draw_dm_counts, repair_zero_columns, sample_dm_matrix
 from .empirical import nearest_rank_quantile, rank_summary
 from .errors import DegenerateRankWarning, ValidationError
 from .model import (
@@ -32,7 +32,7 @@ from .model import (
     prediction_point,
     scaled_interval_set,
 )
-from .rng import as_generator
+from .rng import RngStream, require_stream
 
 __all__ = [
     "BootstrapEnsemble",
@@ -73,7 +73,7 @@ def build_ensemble(
     data: HistoricalDataset,
     spec: FutureSpec,
     B: int,
-    rng,
+    rng: RngStream,
 ) -> BootstrapEnsemble:
     """Draw and refit B synthetic replicates of the whole prediction problem.
 
@@ -83,10 +83,10 @@ def build_ensemble(
     ``fit_model`` does, and draws one future cluster of m units with
     the dispersion re-truncated to 97.5% of m.
     """
+    gen = require_stream(rng, "build_ensemble").generator()
     B = int(B)
     if B < 2:
         raise ValidationError("ensemble needs at least 2 replicates")
-    gen = as_generator(rng)
     m = spec.m
     sizes = data.cluster_sizes
 
@@ -107,7 +107,7 @@ def build_ensemble(
     sep_star = np.sqrt(np.maximum(var, 0.0))
 
     phi_future = clamp_dispersion(fit.phi_hat, m) if m >= 2 else fit.phi_hat
-    y_star = sample_dm_counts(m, fit.pi_hat, phi_future, gen, size=B)
+    y_star = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=B)
 
     z = (y_star - y_hat_star) / sep_star
     return BootstrapEnsemble(y_hat_star=y_hat_star, sep_star=sep_star, y_star=y_star, z=z)

@@ -14,15 +14,13 @@ import numpy as np
 
 from .errors import InvalidDispersion, ValidationError, ZeroProbability
 from .model import HistoricalDataset
-from .rng import as_generator
+from .rng import RngStream, require_stream
 
+# The draws that pass one live Generator along stay out; the public ones take an RngStream.
 __all__ = [
     "derive_eta0",
     "dm_dispersion",
-    "sample_dirichlet",
     "sample_dm_counts",
-    "sample_dm_matrix",
-    "repair_zero_columns",
     "generate_dataset",
 ]
 
@@ -45,7 +43,7 @@ def dm_dispersion(n: int | float, eta0: float) -> float:
     return (float(n) + eta0) / (1.0 + eta0)
 
 
-def sample_dirichlet(eta, rng, size: int | None = None) -> np.ndarray:
+def sample_dirichlet(eta, gen: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Dirichlet draws via normalised gammas, robust to tiny concentrations.
 
     ``eta`` may be a single concentration vector, optionally expanded to
@@ -53,7 +51,6 @@ def sample_dirichlet(eta, rng, size: int | None = None) -> np.ndarray:
     the last axis.  Rows whose gamma draws all underflow to zero are
     redrawn rather than returned as NaN.
     """
-    gen = as_generator(rng)
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 0 or eta.shape[-1] < 1:
         raise ValidationError("concentration vectors must lie along the last axis")
@@ -83,14 +80,20 @@ def sample_dirichlet(eta, rng, size: int | None = None) -> np.ndarray:
     return (g / total[:, None]).reshape(out_shape)
 
 
-def sample_dm_counts(n: int, pi, phi: float, rng, size: int | None = None) -> np.ndarray:
+def sample_dm_counts(n: int, pi, phi: float, rng: RngStream, size: int | None = None) -> np.ndarray:
     """One future cluster (or ``size`` of them) of n units at dispersion phi.
 
     Categories with pi exactly zero stay structurally empty.  A single
     unit (n = 1) is drawn straight from Multinomial(1, pi): its marginal
     law under the DM does not depend on the concentration.
     """
-    gen = as_generator(rng)
+    return draw_dm_counts(n, pi, phi, require_stream(rng, "sample_dm_counts").generator(), size)
+
+
+def draw_dm_counts(
+    n: int, pi, phi: float, gen: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """``sample_dm_counts`` drawing from a live generator."""
     pi = _checked_probs(pi)
     n = int(n)
     if n < 1:
@@ -109,13 +112,14 @@ def sample_dm_counts(n: int, pi, phi: float, rng, size: int | None = None) -> np
     return gen.multinomial(n, probs)
 
 
-def sample_dm_matrix(cluster_sizes, pi, phi: float, rng, size: int | None = None) -> np.ndarray:
+def sample_dm_matrix(
+    cluster_sizes, pi, phi: float, gen: np.random.Generator, size: int | None = None
+) -> np.ndarray:
     """Stack independent DM clusters into a K x C matrix (or ``size`` of them).
 
     Cluster sizes may differ; each cluster uses the concentration derived
     from its own n_k so that every row hits the same dispersion phi.
     """
-    gen = as_generator(rng)
     sizes = np.asarray(cluster_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.shape[0] < 1:
         raise ValidationError("cluster_sizes must be a non-empty 1-D vector")
@@ -129,19 +133,18 @@ def sample_dm_matrix(cluster_sizes, pi, phi: float, rng, size: int | None = None
     # deterministic and the generation fully vectorised.
     for n in np.unique(sizes):
         where = np.flatnonzero(sizes == n)
-        block = sample_dm_counts(int(n), pi, phi, gen, size=B * where.shape[0])
+        block = draw_dm_counts(int(n), pi, phi, gen, size=B * where.shape[0])
         counts[:, where, :] = block.reshape(B, where.shape[0], C)
     return counts[0] if size is None else counts
 
 
-def repair_zero_columns(counts: np.ndarray, rng) -> np.ndarray:
+def repair_zero_columns(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Give every empty category one unit in a uniformly chosen cluster.
 
     Accepts a single K x C matrix or a batch stacked along the first
     axis.  The chosen cluster's size grows by one, mirroring how an
     extra observation would enter the pooled data.
     """
-    gen = as_generator(rng)
     counts = np.array(counts)
     single = counts.ndim == 2
     if single:
@@ -159,7 +162,7 @@ def generate_dataset(
     n,
     pi,
     phi: float,
-    rng,
+    rng: RngStream,
     repair: bool = False,
     categories: tuple[str, ...] = (),
 ) -> HistoricalDataset:
@@ -169,7 +172,7 @@ def generate_dataset(
     the matrix is returned exactly as drawn, so sparse probability
     vectors can yield categories with zero total count.
     """
-    gen = as_generator(rng)
+    gen = require_stream(rng, "generate_dataset").generator()
     if K < 2:
         raise ValidationError(f"need at least 2 clusters, got K={K}")
     sizes = np.broadcast_to(np.asarray(n, dtype=np.int64), (int(K),))

@@ -31,7 +31,7 @@ from .bootstrap import (
 )
 from .errors import ValidationError
 from .model import FutureSpec, HistoricalDataset, ModelFit, PredictionIntervalSet
-from .rng import RngStream
+from .rng import RngStream, require_stream
 
 __all__ = [
     "FREQUENTIST_METHODS",
@@ -141,8 +141,7 @@ def compute_intervals(
     clip: bool = True,
 ) -> dict[str, PredictionIntervalSet]:
     """Compute every requested interval set, sharing ensembles and posteriors."""
-    if not isinstance(rng, RngStream):
-        raise ValidationError("compute_intervals needs an addressable RngStream")
+    require_stream(rng, "compute_intervals")
     ensemble = None
     if any(r.construction in _BOOTSTRAP_METHODS for r in requests):
         ensemble = build_ensemble(fit, data, spec, B, rng.child(_STREAM_ENSEMBLE))

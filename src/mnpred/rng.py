@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -31,10 +33,9 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def as_generator(rng: "RngStream | np.random.Generator | int") -> np.random.Generator:
-    """Accept a stream, a generator, or a bare seed; return a Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def require_stream(rng, caller: str) -> RngStream:
+    """Return ``rng`` if it is an RngStream.  A shared live Generator would
+    interleave its callers' draws and a bare seed bypasses the stream layout."""
+    if not isinstance(rng, RngStream):
+        raise ValidationError(f"{caller} needs an RngStream, got {type(rng).__name__}")
+    return rng

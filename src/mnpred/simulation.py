@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotic import MIN_MVN_DRAWS
+from .bayes import MIN_CHAINS
 from .dm import generate_dataset, sample_dm_counts
 from .errors import FailureCapError, MnpredError, ValidationError
 from .methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
@@ -80,6 +81,10 @@ class Scenario:
                 raise ValidationError(f"{name} must be a positive integer")
         if self.mvn_draws < MIN_MVN_DRAWS:
             raise ValidationError(f"mvn_draws must be at least {MIN_MVN_DRAWS}")
+        if self.chains < MIN_CHAINS and any(
+            r.prior for r in resolve_methods(self.methods, self.priors)
+        ):
+            raise ValidationError(f"Bayesian methods need chains >= {MIN_CHAINS}")
 
     @property
     def sampling_iters(self) -> int:

@@ -10,7 +10,7 @@ from mnpred.bootstrap import (
     rank_multipliers,
     symmetric_multiplier,
 )
-from mnpred.dm import repair_zero_columns, sample_dm_counts, sample_dm_matrix
+from mnpred.dm import draw_dm_counts, repair_zero_columns, sample_dm_matrix
 from mnpred.empirical import nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
 
@@ -43,7 +43,7 @@ class TestBuildEnsemble:
             point_b = mp.prediction_point(fit_b, spec)
             np.testing.assert_allclose(ens.y_hat_star[b], point_b.y_hat, rtol=1e-10)
             np.testing.assert_allclose(ens.sep_star[b], point_b.sep, rtol=1e-10)
-        y_star = sample_dm_counts(
+        y_star = draw_dm_counts(
             spec.m, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
         )
         np.testing.assert_array_equal(ens.y_star, y_star)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mnpred as mp
+from mnpred.dm import repair_zero_columns, sample_dirichlet, sample_dm_matrix
 from mnpred.errors import InvalidDispersion, ValidationError, ZeroProbability
 
 
@@ -30,24 +31,24 @@ class TestEta0:
 
 class TestDirichlet:
     def test_rows_sum_to_one(self):
-        draws = mp.sample_dirichlet(np.array([2.0, 3.0, 5.0]), mp.RngStream(1), size=500)
+        draws = sample_dirichlet(np.array([2.0, 3.0, 5.0]), mp.RngStream(1).generator(), size=500)
         assert draws.shape == (500, 3)
         np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
     def test_mean_matches_normalized_eta(self):
         eta = np.array([4.0, 1.0, 5.0])
-        draws = mp.sample_dirichlet(eta, mp.RngStream(2), size=40_000)
+        draws = sample_dirichlet(eta, mp.RngStream(2).generator(), size=40_000)
         target = eta / eta.sum()
         se = np.sqrt(target * (1 - target) / (eta.sum() + 1) / 40_000)
         np.testing.assert_allclose(draws.mean(axis=0), target, atol=5 * np.max(se))
 
     def test_single_draw_shape(self):
-        one = mp.sample_dirichlet(np.array([1.0, 1.0]), mp.RngStream(3))
+        one = sample_dirichlet(np.array([1.0, 1.0]), mp.RngStream(3).generator())
         assert one.shape == (2,)
 
     def test_batched_eta(self):
         eta = np.tile([2.0, 2.0], (7, 1))
-        draws = mp.sample_dirichlet(eta, mp.RngStream(4))
+        draws = sample_dirichlet(eta, mp.RngStream(4).generator())
         assert draws.shape == (7, 2)
         np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
 
@@ -91,46 +92,48 @@ class TestDMCounts:
 
 class TestDMMatrix:
     def test_equal_sizes(self):
-        counts = mp.sample_dm_matrix([20] * 6, (0.25, 0.75), 3.0, mp.RngStream(13))
+        counts = sample_dm_matrix([20] * 6, (0.25, 0.75), 3.0, mp.RngStream(13).generator())
         assert counts.shape == (6, 2)
         assert np.all(counts.sum(axis=1) == 20)
 
     def test_unequal_sizes_respected(self):
         sizes = [10, 30, 20, 30]
-        counts = mp.sample_dm_matrix(sizes, (0.5, 0.5), 2.5, mp.RngStream(14))
+        counts = sample_dm_matrix(sizes, (0.5, 0.5), 2.5, mp.RngStream(14).generator())
         np.testing.assert_array_equal(counts.sum(axis=1), sizes)
 
     def test_batched(self):
-        counts = mp.sample_dm_matrix([15, 25], (0.4, 0.6), 2.0, mp.RngStream(15), size=9)
+        counts = sample_dm_matrix([15, 25], (0.4, 0.6), 2.0, mp.RngStream(15).generator(), size=9)
         assert counts.shape == (9, 2, 2)
         np.testing.assert_array_equal(counts.sum(axis=2), np.tile([15, 25], (9, 1)))
 
     def test_deterministic_given_stream(self):
-        a = mp.sample_dm_matrix([10, 10], (0.5, 0.5), 2.0, mp.RngStream(16), size=4)
-        b = mp.sample_dm_matrix([10, 10], (0.5, 0.5), 2.0, mp.RngStream(16), size=4)
+        a = sample_dm_matrix([10, 10], (0.5, 0.5), 2.0, mp.RngStream(16).generator(), size=4)
+        b = sample_dm_matrix([10, 10], (0.5, 0.5), 2.0, mp.RngStream(16).generator(), size=4)
         np.testing.assert_array_equal(a, b)
-        c = mp.sample_dm_matrix([10, 10], (0.5, 0.5), 2.0, mp.RngStream(16).child(1), size=4)
+        c = sample_dm_matrix(
+            [10, 10], (0.5, 0.5), 2.0, mp.RngStream(16).child(1).generator(), size=4
+        )
         assert not np.array_equal(a, c)
 
 
 class TestRepair:
     def test_adds_single_count_to_zero_column(self):
         counts = np.array([[5, 0], [7, 0]])
-        fixed = mp.repair_zero_columns(counts, mp.RngStream(17))
+        fixed = repair_zero_columns(counts, mp.RngStream(17).generator())
         assert fixed[:, 1].sum() == 1
         assert fixed[:, 0].sum() == 12
         np.testing.assert_array_equal(fixed.sum(axis=1) - counts.sum(axis=1), fixed[:, 1])
 
     def test_leaves_complete_tables_alone(self):
         counts = np.array([[5, 1], [7, 2]])
-        fixed = mp.repair_zero_columns(counts, mp.RngStream(18))
+        fixed = repair_zero_columns(counts, mp.RngStream(18).generator())
         np.testing.assert_array_equal(fixed, counts)
 
     def test_batched_repair_is_per_replicate(self):
         counts = np.zeros((4, 3, 2), dtype=np.int64)
         counts[..., 0] = 5
         counts[2, 1, 1] = 1  # replicate 2 already has the category
-        fixed = mp.repair_zero_columns(counts, mp.RngStream(19))
+        fixed = repair_zero_columns(counts, mp.RngStream(19).generator())
         assert np.all(fixed[..., 1].sum(axis=1) >= 1)
         np.testing.assert_array_equal(fixed[2], counts[2])
 

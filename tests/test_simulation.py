@@ -69,11 +69,22 @@ class TestScenario:
             dict(chains=0),             # would divide by zero in sampling_iters
             dict(warmup=0),
             dict(mvn_draws=10),         # below what the mvn quantile accepts
+            dict(chains=1, methods=("bayes-scs",)),  # split R-hat needs two chains
+            dict(chains=1, methods=("pointwise", "bayes-mean-beta")),
+            dict(chains=1, methods=("all",)),
         ],
     )
     def test_rejects_bad_cells(self, kw):
         with pytest.raises(ValidationError):
             cheap_scenario(**kw)
+
+    def test_one_chain_is_legal_without_bayesian_methods(self):
+        # A Bayesian cell with one chain would fail every iteration: refused at construction.
+        with pytest.raises(ValidationError, match="chains"):
+            Scenario(pi_true=(0.3, 0.7), K=5, n=20, phi=2.0, n_iter=4,
+                     methods=("bayes-scs",), chains=1, S=200, warmup=50)
+        report = run_simulation(cheap_scenario(chains=1, n_iter=2))
+        assert report.n_completed == 2
 
 
 @pytest.fixture(scope="module")
