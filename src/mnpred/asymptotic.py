@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .empirical import nearest_rank_quantile
+from .empirical import max_abs_quantile
 from .errors import NotPSD, ValidationError
 from .model import (
     FutureSpec,
@@ -87,9 +87,9 @@ def equicoordinate_quantile(
         raise NotPSD(f"most negative eigenvalue {eigvals.min():.3e} is below {_EIG_NEG}")
     keep = eigvals > _EIG_DROP
     root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
-    shocks = gen.standard_normal((int(n_draws), int(keep.sum())))
-    max_abs = np.abs(root @ shocks.T).max(axis=0)
-    return nearest_rank_quantile(max_abs, 1.0 - alpha)
+    # No name holds the shocks, so they are freed before the kernel allocates |z|.
+    z = (root @ gen.standard_normal((int(n_draws), int(keep.sum()))).T).T
+    return max_abs_quantile(z, alpha)
 
 
 def pointwise_interval(fit: ModelFit, spec: FutureSpec, clip: bool = True) -> PredictionIntervalSet:

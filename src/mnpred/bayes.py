@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betaln, gammaln
 
 from .dm import sample_dirichlet
-from .empirical import nearest_rank_quantile, rank_summary
+from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -34,10 +34,14 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    FutureSpec,
     HistoricalDataset,
     PredictionIntervalSet,
+    PredictionPoint,
     clamp_dispersion,
+    interval_set,
     pearson_dispersion,
+    scaled_interval_set,
 )
 from .rng import RngStream, require_stream
 
@@ -451,32 +455,6 @@ def posterior_predictive(draws: PosteriorDraws, m: int, rng: RngStream) -> Predi
     return PredictiveSamples(y_pred=y, m=int(m))
 
 
-def _predictive_set(
-    label: str,
-    pred: PredictiveSamples,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    mult_lower,
-    mult_upper,
-    alpha: float,
-    clip: bool,
-) -> PredictionIntervalSet:
-    C = pred.y_pred.shape[1]
-    if clip:
-        lower = np.clip(lower, 0.0, pred.m)
-        upper = np.clip(upper, 0.0, pred.m)
-    return PredictionIntervalSet(
-        method=label,
-        lower=lower,
-        upper=upper,
-        y_hat=pred.y_hat,
-        sep=pred.sd,
-        multiplier_lower=np.broadcast_to(np.asarray(mult_lower, dtype=float), (C,)),
-        multiplier_upper=np.broadcast_to(np.asarray(mult_upper, dtype=float), (C,)),
-        alpha=alpha,
-    )
-
-
 def bayes_bonferroni_interval(
     pred: PredictiveSamples,
     alpha: float,
@@ -484,11 +462,11 @@ def bayes_bonferroni_interval(
     clip: bool = True,
 ) -> PredictionIntervalSet:
     """Per-category predictive quantiles at the Bonferroni-adjusted level."""
+    spec = FutureSpec(pred.m, alpha)
     C = pred.y_pred.shape[1]
-    p_lo, p_hi = alpha / (2.0 * C), 1.0 - alpha / (2.0 * C)
-    lower = np.array([nearest_rank_quantile(pred.y_pred[:, c], p_lo) for c in range(C)])
-    upper = np.array([nearest_rank_quantile(pred.y_pred[:, c], p_hi) for c in range(C)])
-    return _predictive_set(label, pred, lower, upper, math.nan, math.nan, alpha, clip)
+    lower = nearest_rank_quantile(pred.y_pred, alpha / (2.0 * C))
+    upper = nearest_rank_quantile(pred.y_pred, 1.0 - alpha / (2.0 * C))
+    return interval_set(label, PredictionPoint(pred.y_hat, pred.sd), spec, lower, upper, clip=clip)
 
 
 def bayes_mean_centered_interval(
@@ -503,17 +481,15 @@ def bayes_mean_centered_interval(
     the max statistic and collapse to the degenerate interval at their
     predictive mean.
     """
-    mean = pred.y_hat
-    sd = pred.sd
-    active = sd > 0.0
+    spec = FutureSpec(pred.m, alpha)
+    point = PredictionPoint(pred.y_hat, pred.sd)
+    active = point.sep > 0.0
     if np.any(active):
-        z = np.abs(pred.y_pred[:, active] - mean[active]) / sd[active]
-        q = nearest_rank_quantile(z.max(axis=1), 1.0 - alpha)
+        z = (pred.y_pred[:, active] - point.y_hat[active]) / point.sep[active]
+        q = max_abs_quantile(z, alpha)
     else:
         q = 0.0
-    return _predictive_set(
-        label, pred, mean - q * sd, mean + q * sd, q, q, alpha, clip
-    )
+    return scaled_interval_set(label, point, q, q, spec, clip=clip)
 
 
 def bayes_rank_scs_interval(
@@ -523,10 +499,7 @@ def bayes_rank_scs_interval(
     clip: bool = True,
 ) -> PredictionIntervalSet:
     """Rank-based simultaneous bounds taken directly on predictive counts."""
+    spec = FutureSpec(pred.m, alpha)
     summary = rank_summary(pred.y_pred, alpha)
-    S, C = pred.y_pred.shape
-    tau = summary.tau_star
-    y_sorted = np.sort(pred.y_pred, axis=0)
-    lower = y_sorted[S - tau, :].astype(float)
-    upper = y_sorted[tau - 1, :].astype(float)
-    return _predictive_set(label, pred, lower, upper, math.nan, math.nan, alpha, clip)
+    point = PredictionPoint(pred.y_hat, pred.sd)
+    return interval_set(label, point, spec, summary.lower, summary.upper, clip=clip)

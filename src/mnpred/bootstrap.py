@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dm import draw_dm_counts, repair_zero_columns, sample_dm_matrix
-from .empirical import nearest_rank_quantile, rank_summary
+from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
 from .errors import DegenerateRankWarning, ValidationError
 from .model import (
     FutureSpec,
@@ -113,15 +113,6 @@ def build_ensemble(
     return BootstrapEnsemble(y_hat_star=y_hat_star, sep_star=sep_star, y_star=y_star, z=z)
 
 
-def symmetric_multiplier(z: np.ndarray, alpha: float) -> float:
-    """Single multiplier calibrated so that |z| <= q in all categories at rate 1-alpha.
-
-    This is the smallest q whose ensemble coverage reaches 1 - alpha, the
-    nearest-rank quantile of max|z| that ``masr_multiplier`` computes.
-    """
-    return masr_multiplier(z, alpha)
-
-
 def asymmetric_multipliers(z: np.ndarray, alpha: float) -> tuple[float, float]:
     """Separate lower and upper multipliers, each calibrated to 1 - alpha/2."""
     target = 1.0 - alpha / 2.0
@@ -137,16 +128,14 @@ def marginal_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     cluster; it is floored at zero so the interval still includes the
     point prediction.
     """
-    C = z.shape[1]
-    target = 1.0 - alpha / (2.0 * C)
-    q_lo = np.array([nearest_rank_quantile(-z[:, c], target) for c in range(C)])
-    q_hi = np.array([nearest_rank_quantile(z[:, c], target) for c in range(C)])
+    target = 1.0 - alpha / (2.0 * z.shape[1])
+    q_lo = nearest_rank_quantile(-z, target)
+    q_hi = nearest_rank_quantile(z, target)
     return np.maximum(q_lo, 0.0), np.maximum(q_hi, 0.0)
 
 
-def masr_multiplier(z: np.ndarray, alpha: float) -> float:
-    """(1-alpha) nearest-rank quantile of the max absolute studentised residual."""
-    return nearest_rank_quantile(np.abs(z).max(axis=1), 1.0 - alpha)
+# masr and symmetric are one statistic under two method ids.
+masr_multiplier = symmetric_multiplier = max_abs_quantile
 
 
 def rank_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +149,8 @@ def rank_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     diagnostic) so the interval still includes the point prediction.
     """
     summary = rank_summary(z, alpha)
-    B = summary.n_rows
-    tau = summary.tau_star
-    z_sorted = np.sort(z, axis=0)
-    q_lo = np.abs(z_sorted[B - tau, :])
-    q_hi = z_sorted[tau - 1, :]
+    q_lo = np.abs(summary.lower)
+    q_hi = summary.upper
     if np.any(q_hi < 0.0):
         bad = np.flatnonzero(q_hi < 0.0)
         warnings.warn(

@@ -169,7 +169,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    pi = tuple(float(v) for v in _comma_list(args.pi))
+    try:
+        pi = tuple(float(v) for v in _comma_list(args.pi))
+    except ValueError:
+        raise _UsageError(f"--pi must be a comma list of numbers, got {args.pi!r}") from None
     labels = _comma_list(args.categories) if args.categories else tuple(
         f"cat_{i}" for i in range(1, len(pi) + 1)
     )

@@ -21,11 +21,11 @@ class ZeroCategory(MnpredError):
     """A category has zero counts in every historical cluster."""
 
 
-class ZeroProbability(MnpredError):
+class ZeroProbability(ValidationError):
     """A probability is zero (or negative) where strict positivity is required."""
 
 
-class InvalidDispersion(MnpredError):
+class InvalidDispersion(ValidationError):
     """Dispersion outside the open interval (1, n) needed for generation."""
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .model import HistoricalDataset, PredictionIntervalSet
-from .simulation import SimulationReport
+from .simulation import Scenario, SimulationReport
 
 __all__ = [
     "INTERVAL_COLUMNS",
@@ -138,6 +138,10 @@ def parse_future_csv(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
 # run configuration
 
 
+# The simulate run settings default to Scenario's, so each default is set once.
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
+
+
 @dataclass
 class RunConfig:
     """Flat bag of run settings; the simulate config file mirrors these names.
@@ -146,21 +150,21 @@ class RunConfig:
     checks which keys go together and Scenario checks each value.
     """
 
-    alpha: float = 0.05
-    methods: tuple[str, ...] = ("all",)
-    B: int = 10_000
-    S: int = 10_000
-    chains: int = 4
-    warmup: int = 1000
-    seed: int = 0
-    priors: tuple[str, ...] = ("cauchy",)
+    alpha: float = _SCENARIO_DEFAULTS["alpha"]
+    methods: tuple[str, ...] = _SCENARIO_DEFAULTS["methods"]
+    B: int = _SCENARIO_DEFAULTS["B"]
+    S: int = _SCENARIO_DEFAULTS["S"]
+    chains: int = _SCENARIO_DEFAULTS["chains"]
+    warmup: int = _SCENARIO_DEFAULTS["warmup"]
+    seed: int = _SCENARIO_DEFAULTS["seed"]
+    priors: tuple[str, ...] = _SCENARIO_DEFAULTS["priors"]
     format: str = "csv"
     out: str | None = None
-    n_iter: int = 500
+    n_iter: int = _SCENARIO_DEFAULTS["n_iter"]
     scenarios: tuple[str, ...] = ()
     full_scale: bool = False
-    repair: bool = True
-    mvn_draws: int = 100_000
+    repair: bool = _SCENARIO_DEFAULTS["repair"]
+    mvn_draws: int = _SCENARIO_DEFAULTS["mvn_draws"]
     pi: tuple[float, ...] | None = None
     K: int | None = None
     n: int | None = None
@@ -189,7 +193,7 @@ def parse_config(path: str) -> RunConfig:
                 continue
             if "=" not in line:
                 raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
+            key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
             if key not in known:
                 raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")

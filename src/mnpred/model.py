@@ -35,6 +35,7 @@ __all__ = [
     "prediction_se",
     "fit_model",
     "prediction_point",
+    "interval_set",
     "scaled_interval_set",
 ]
 
@@ -293,6 +294,33 @@ def prediction_point(fit: ModelFit, spec: FutureSpec) -> PredictionPoint:
     return PredictionPoint(y_hat=y_hat, sep=sep)
 
 
+def interval_set(
+    method: str,
+    point: PredictionPoint,
+    spec: FutureSpec,
+    lower,
+    upper,
+    mult_lower=np.nan,
+    mult_upper=np.nan,
+    clip: bool = True,
+) -> PredictionIntervalSet:
+    """Assemble one method's bounds, clipped to the count range [0, m]."""
+    if clip:
+        lower = np.clip(lower, 0.0, spec.m)
+        upper = np.clip(upper, 0.0, spec.m)
+    C = point.y_hat.shape[0]
+    return PredictionIntervalSet(
+        method=method,
+        lower=lower,
+        upper=upper,
+        y_hat=point.y_hat,
+        sep=point.sep,
+        multiplier_lower=np.broadcast_to(np.asarray(mult_lower, dtype=float), (C,)),
+        multiplier_upper=np.broadcast_to(np.asarray(mult_upper, dtype=float), (C,)),
+        alpha=spec.alpha,
+    )
+
+
 def scaled_interval_set(
     method: str,
     point: PredictionPoint,
@@ -302,21 +330,6 @@ def scaled_interval_set(
     clip: bool = True,
 ) -> PredictionIntervalSet:
     """Assemble y_hat -/+ multiplier*sep bounds, clipped to the count range [0, m]."""
-    C = point.y_hat.shape[0]
-    ml = np.broadcast_to(np.asarray(mult_lower, dtype=float), (C,)).copy()
-    mu = np.broadcast_to(np.asarray(mult_upper, dtype=float), (C,)).copy()
-    lower = point.y_hat - ml * point.sep
-    upper = point.y_hat + mu * point.sep
-    if clip:
-        lower = np.clip(lower, 0.0, spec.m)
-        upper = np.clip(upper, 0.0, spec.m)
-    return PredictionIntervalSet(
-        method=method,
-        lower=lower,
-        upper=upper,
-        y_hat=point.y_hat,
-        sep=point.sep,
-        multiplier_lower=ml,
-        multiplier_upper=mu,
-        alpha=spec.alpha,
-    )
+    lower = point.y_hat - np.asarray(mult_lower, dtype=float) * point.sep
+    upper = point.y_hat + np.asarray(mult_upper, dtype=float) * point.sep
+    return interval_set(method, point, spec, lower, upper, mult_lower, mult_upper, clip)

@@ -552,6 +552,97 @@ class TestBayesConstructions:
         assert np.all(ivs.upper <= 49.0)
 
 
+def reference_nearest_rank(values, p):
+    """One partition of a contiguous 1-D copy, as the per-column loops took it."""
+    values = np.asarray(values, dtype=float).ravel()
+    k = min(max(int(np.ceil(p * values.shape[0])), 1), values.shape[0])
+    return float(np.partition(values, k - 1)[k - 1])
+
+
+def reference_predictive_set(label, pred, lower, upper, mult_lower, mult_upper, alpha, clip):
+    """The Bayes-only interval builder with its own clip."""
+    C = pred.y_pred.shape[1]
+    if clip:
+        lower = np.clip(lower, 0.0, pred.m)
+        upper = np.clip(upper, 0.0, pred.m)
+    return mp.PredictionIntervalSet(
+        method=label,
+        lower=lower,
+        upper=upper,
+        y_hat=pred.y_hat,
+        sep=pred.sd,
+        multiplier_lower=np.broadcast_to(np.asarray(mult_lower, dtype=float), (C,)),
+        multiplier_upper=np.broadcast_to(np.asarray(mult_upper, dtype=float), (C,)),
+        alpha=alpha,
+    )
+
+
+def reference_bayes_intervals(pred, alpha, clip):
+    """The three constructions with per-column loops and a second full sort."""
+    y = pred.y_pred
+    S, C = y.shape
+    p_lo, p_hi = alpha / (2.0 * C), 1.0 - alpha / (2.0 * C)
+    lower = np.array([reference_nearest_rank(y[:, c], p_lo) for c in range(C)])
+    upper = np.array([reference_nearest_rank(y[:, c], p_hi) for c in range(C)])
+    out = {"bayes-bonf": reference_predictive_set(
+        "bayes-bonf", pred, lower, upper, math.nan, math.nan, alpha, clip
+    )}
+    mean, sd = pred.y_hat, pred.sd
+    active = sd > 0.0
+    q = 0.0
+    if np.any(active):
+        z = np.abs(y[:, active] - mean[active]) / sd[active]
+        q = reference_nearest_rank(z.max(axis=1), 1.0 - alpha)
+    out["bayes-mean"] = reference_predictive_set(
+        "bayes-mean", pred, mean - q * sd, mean + q * sd, q, q, alpha, clip
+    )
+    tau = mp.rank_summary(y, alpha).tau_star
+    y_sorted = np.sort(y, axis=0)
+    out["bayes-scs"] = reference_predictive_set(
+        "bayes-scs", pred, y_sorted[S - tau].astype(float), y_sorted[tau - 1].astype(float),
+        math.nan, math.nan, alpha, clip,
+    )
+    return out
+
+
+class TestBayesKernelsMatchReference:
+    FIELDS = ("lower", "upper", "y_hat", "sep", "multiplier_lower", "multiplier_upper")
+
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize("C", [1, 3, 10])
+    def test_bitwise_equal(self, C, clip):
+        for seed in range(4):
+            rng = np.random.default_rng(100 * C + seed)
+            p = rng.dirichlet(np.ones(C))
+            p[rng.integers(C)] = 0.0  # one constant (all-zero) column
+            p = p / p.sum() if p.sum() > 0 else np.ones(1)
+            m = int(rng.integers(3, 15))
+            pred = crafted(rng.multinomial(m, p, size=int(rng.integers(50, 600))), m=m)
+            alpha = (0.05, 0.1, 0.2, 0.5)[seed]
+            want = reference_bayes_intervals(pred, alpha, clip)
+            for fn in (
+                bayes_bonferroni_interval,
+                bayes_mean_centered_interval,
+                bayes_rank_scs_interval,
+            ):
+                got = fn(pred, alpha, clip=clip)
+                ref = want[got.method]
+                assert got.alpha == ref.alpha
+                for name in self.FIELDS:
+                    assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        pred = crafted(np.random.default_rng(3).multinomial(20, [0.2, 0.3, 0.5], size=200), m=20)
+        for fn in (
+            bayes_bonferroni_interval,
+            bayes_mean_centered_interval,
+            bayes_rank_scs_interval,
+        ):
+            with pytest.raises(ValidationError):
+                fn(pred, alpha)
+
+
 @pytest.mark.slow
 def test_beta_prior_no_wider_than_cauchy_on_mild_data():
     """With mild data the ICC prior shrinks eta0 less aggressively than the

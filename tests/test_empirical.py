@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -54,8 +57,43 @@ class TestNearestRank:
                 k = min(max(int(np.ceil(p * n)), 1), n)
                 np.testing.assert_equal(nearest_rank_quantile(values, p), srt[k - 1])
 
+    @pytest.mark.parametrize("kind", ["random", "ties", "integer", "nan"])
+    def test_columns_match_one_dimensional_calls(self, kind):
+        rng = np.random.default_rng(6)
+        for B, C in ((1, 1), (2, 3), (37, 1), (500, 5), (2001, 10)):
+            if kind == "integer":
+                values = rng.integers(0, 6, size=(B, C))
+            elif kind == "ties":
+                values = rng.integers(-3, 4, size=(B, C)) * 0.5
+            else:
+                values = rng.normal(size=(B, C))
+            if kind == "nan":
+                values[rng.random((B, C)) < 0.1] = np.nan
+            for p in (0.001, 0.05, 0.5, 0.975, 1.0):
+                got = nearest_rank_quantile(values, p)
+                want = np.array([nearest_rank_quantile(values[:, c], p) for c in range(C)])
+                assert got.tobytes() == want.tobytes()
+
 
 class TestRankSummary:
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.DegenerateRankWarning")
+    @pytest.mark.parametrize("kind", ["float", "float-ties", "integer"])
+    def test_bounds_are_sorted_rows(self, kind):
+        rng = np.random.default_rng(8)
+        for B, C in ((2, 1), (40, 3), (1000, 5), (3000, 10)):
+            if kind == "integer":
+                values = rng.multinomial(12, np.full(C, 1.0 / C), size=B)
+            elif kind == "float-ties":
+                values = rng.integers(-4, 5, size=(B, C)) / 3.0
+            else:
+                values = rng.normal(size=(B, C))
+            for alpha in (0.01, 0.05, 0.3):
+                summary = rank_summary(values, alpha)
+                srt = np.sort(values, axis=0)
+                tau = summary.tau_star
+                assert summary.lower.tobytes() == srt[B - tau].tobytes()
+                assert summary.upper.tobytes() == srt[tau - 1].tobytes()
+
     def test_toy_oracle_tau_star(self):
         # single category, B=100: tau* lands on the 98th extremeness score
         z = np.arange(100.0).reshape(-1, 1)
@@ -113,3 +151,19 @@ class TestRankSummary:
         z = np.random.default_rng(seed).normal(size=(B, 2))
         taus = [rank_summary(z, a).tau_star for a in (0.01, 0.05, 0.2, 0.5)]
         assert all(t1 >= t2 for t1, t2 in zip(taus, taus[1:]))
+
+
+_ORDER_CALLS = {"sort", "argsort", "partition", "argpartition"}
+
+
+def test_only_empirical_sorts_or_partitions():
+    """Every method reads its order statistics through the empirical kernels."""
+    calls = []
+    for path in sorted(Path(mp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _ORDER_CALLS:
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls and all(c.startswith("empirical.py:") for c in calls), calls

@@ -409,6 +409,27 @@ class TestCliGenerate:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "phi, pi, code, error",
+        [
+            ("2", "0.3,abc", 2, None),
+            ("2", "0.3,-0.2,0.9", 3, "ZeroProbability"),
+            ("25", "0.3,0.7", 3, "InvalidDispersion"),
+        ],
+    )
+    def test_bad_pi_or_phi_exit_codes(self, tmp_path, capsys, phi, pi, code, error):
+        rc = main([
+            "generate", "--K", "5", "--n", "20", "--phi", phi, "--pi", pi,
+            "--out", str(tmp_path / "g.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == code
+        if error is None:
+            assert err.startswith("usage error: --pi")
+        else:
+            assert json.loads(err)["error"] == error
+        assert not (tmp_path / "g.csv").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         paths = [str(tmp_path / f"g{i}.csv") for i in (1, 2)]
         for p in paths:

@@ -298,5 +298,5 @@ class TestBuildScenarios:
     def test_defaults_keep_catalog_cells(self):
         cells = build_scenarios(RunConfig(scenarios=("C3-01-K5-n10-phi1.01",)))
         assert [s.scenario_id for s in cells] == ["C3-01-K5-n10-phi1.01"]
-        assert cells[0].sampling_iters == 2500
+        assert cells[0].sampling_iters == 1000
         assert cells[0].seed == 0
