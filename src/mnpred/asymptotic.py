@@ -18,6 +18,7 @@ from scipy.special import ndtri
 from .empirical import max_abs_quantile
 from .errors import NotPSD, ValidationError
 from .model import (
+    PREDICT_DEFAULTS,
     FutureSpec,
     ModelFit,
     PredictionIntervalSet,
@@ -69,7 +70,7 @@ def equicoordinate_quantile(
     corr: np.ndarray,
     alpha: float,
     rng: RngStream,
-    n_draws: int = 100_000,
+    n_draws: int = PREDICT_DEFAULTS.mvn_draws,
 ) -> float:
     """(1-alpha) quantile of max_c |Z_c| for Z ~ N(0, corr), by Monte Carlo.
 
@@ -109,7 +110,7 @@ def mvn_interval(
     fit: ModelFit,
     spec: FutureSpec,
     rng: RngStream,
-    n_draws: int = 100_000,
+    n_draws: int = PREDICT_DEFAULTS.mvn_draws,
     clip: bool = True,
 ) -> PredictionIntervalSet:
     """Equicoordinate normal interval honouring the prediction correlations."""

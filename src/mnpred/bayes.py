@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -34,10 +35,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    PREDICT_DEFAULTS,
     FutureSpec,
     HistoricalDataset,
     PredictionIntervalSet,
     PredictionPoint,
+    _frozen_array,
     clamp_dispersion,
     interval_set,
     pearson_dispersion,
@@ -162,13 +165,14 @@ class PredictiveSamples:
     y_pred: np.ndarray   # (S, C) integer counts
     m: int
 
-    @property
+    # Computed on first read and shared by every later one, hence read-only.
+    @cached_property
     def y_hat(self) -> np.ndarray:
-        return self.y_pred.mean(axis=0)
+        return _frozen_array(self.y_pred.mean(axis=0))
 
-    @property
+    @cached_property
     def sd(self) -> np.ndarray:
-        return self.y_pred.std(axis=0, ddof=1)
+        return _frozen_array(self.y_pred.std(axis=0, ddof=1))
 
 
 def dm_log_pmf(x, n: int, eta) -> float:
@@ -319,9 +323,9 @@ def mcmc_sample(
     data: HistoricalDataset,
     prior: PriorChoice,
     rng: RngStream,
-    chains: int = 4,
-    sampling_iters: int = 2500,
-    warmup: int = 1000,
+    chains: int = PREDICT_DEFAULTS.chains,
+    sampling_iters: int = PREDICT_DEFAULTS.sampling_iters,
+    warmup: int = PREDICT_DEFAULTS.warmup,
 ) -> PosteriorDraws:
     """Adaptive coordinate-wise random-walk Metropolis over (pi, eta0).
 

@@ -49,6 +49,11 @@ __all__ = [
     "rank_scs_interval",
 ]
 
+# Replicates per refit block: the Pearson residual temporaries then cover
+# 500 tables at a time, not the whole (B, K, C) ensemble.  Each replicate's
+# sums run over its own table only, so the block size never moves a byte.
+_REFIT_BLOCK = 500
+
 
 @dataclass(frozen=True)
 class BootstrapEnsemble:
@@ -82,6 +87,14 @@ def build_ensemble(
     defined), refits pooled probabilities and dispersion exactly as
     ``fit_model`` does, and draws one future cluster of m units with
     the dispersion re-truncated to 97.5% of m.
+
+    Peak memory is about 2 x B*K*C*8 bytes: the float Dirichlet draw and
+    the int64 multinomial counts drawn from it, and later the counts and
+    the copy that ``repair_zero_columns`` makes.  Unequal cluster sizes
+    make one draw per distinct size and copy each into the stacked
+    counts; that buffer is live while each size is drawn, so the peak
+    reaches about 3 x when one size holds almost every cluster.  The
+    refit runs over blocks of replicates, so its temporaries stay small.
     """
     gen = require_stream(rng, "build_ensemble").generator()
     B = int(B)
@@ -98,7 +111,12 @@ def build_ensemble(
     totals = counts.sum(axis=1)                          # (B, C)
     N_star = n_star.sum(axis=1).astype(float)            # (B,)
     pi_star = totals / N_star[:, None]
-    phi_raw = pearson_dispersion(counts, pi_star)[2]
+    phi_raw = np.concatenate(
+        [
+            pearson_dispersion(counts[i : i + _REFIT_BLOCK], pi_star[i : i + _REFIT_BLOCK])[2]
+            for i in range(0, B, _REFIT_BLOCK)
+        ]
+    )
     cap = 0.975 * n_star.min(axis=1)
     phi_star = np.where(phi_raw > 1.0, np.minimum(phi_raw, cap), 1.01)
 

@@ -31,7 +31,7 @@ from .io import (
     write_text,
 )
 from .methods import compute_intervals, resolve_methods
-from .model import FutureSpec, fit_model
+from .model import PREDICT_DEFAULTS, FutureSpec, fit_model
 from .rng import RngStream
 from .simulation import run_simulation
 
@@ -59,12 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--future", help="observed future row (CSV) to check containment")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--methods", default="all", help="comma list of method ids, or 'all'")
-    p.add_argument("--B", type=int, default=10_000, help="bootstrap replicates")
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--sampling", type=int, default=2500, help="posterior draws per chain")
-    p.add_argument("--warmup", type=int, default=1000)
+    run = PREDICT_DEFAULTS
+    p.add_argument("--B", type=int, default=run.B, help="bootstrap replicates")
+    p.add_argument("--chains", type=int, default=run.chains)
+    p.add_argument(
+        "--sampling", type=int, default=run.sampling_iters, help="posterior draws per chain"
+    )
+    p.add_argument("--warmup", type=int, default=run.warmup)
     p.add_argument("--prior", default="cauchy", help="comma list from {cauchy, beta}")
-    p.add_argument("--mvn-draws", type=int, default=100_000)
+    p.add_argument("--mvn-draws", type=int, default=run.mvn_draws)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-clip", action="store_true", help="do not clip bounds to [0, m]")
     p.add_argument("--out", help="output path (default: stdout)")

@@ -49,7 +49,10 @@ def sample_dirichlet(eta, gen: np.random.Generator, size: int | None = None) -> 
     ``eta`` may be a single concentration vector, optionally expanded to
     ``size`` independent draws, or an arbitrary batch with vectors along
     the last axis.  Rows whose gamma draws all underflow to zero are
-    redrawn rather than returned as NaN.
+    redrawn rather than returned as NaN.  The result is a fresh array:
+    the gammas are drawn from a broadcast view of ``eta`` (the caller's
+    ``eta`` is never written) and normalised in place, so a draw of
+    ``rows`` vectors allocates one rows x C float buffer.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 0 or eta.shape[-1] < 1:
@@ -62,7 +65,7 @@ def sample_dirichlet(eta, gen: np.random.Generator, size: int | None = None) -> 
             raise ValidationError("size expansion needs a 1-D concentration vector")
         eta = np.broadcast_to(eta, out_shape)
     C = eta.shape[-1]
-    flat_eta = np.ascontiguousarray(eta).reshape(-1, C)
+    flat_eta = eta.reshape(-1, C)
     g = gen.gamma(shape=flat_eta)
     total = g.sum(axis=1)
     for _ in range(_MAX_REDRAWS):
@@ -77,7 +80,8 @@ def sample_dirichlet(eta, gen: np.random.Generator, size: int | None = None) -> 
         dead = total == 0.0
         g[dead] = flat_eta[dead]
         total[dead] = g[dead].sum(axis=1)
-    return (g / total[:, None]).reshape(out_shape)
+    g /= total[:, None]
+    return g.reshape(out_shape)
 
 
 def sample_dm_counts(n: int, pi, phi: float, rng: RngStream, size: int | None = None) -> np.ndarray:
@@ -93,7 +97,12 @@ def sample_dm_counts(n: int, pi, phi: float, rng: RngStream, size: int | None = 
 def draw_dm_counts(
     n: int, pi, phi: float, gen: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
-    """``sample_dm_counts`` drawing from a live generator."""
+    """``sample_dm_counts`` drawing from a live generator.
+
+    When every pi is positive the Dirichlet draw is passed to the
+    multinomial as it is; structural zeros are first spread into a
+    zero-filled probability array.
+    """
     pi = _checked_probs(pi)
     n = int(n)
     if n < 1:
@@ -103,6 +112,8 @@ def draw_dm_counts(
     eta0 = derive_eta0(n, phi)
     pos = pi > 0.0
     p_pos = sample_dirichlet(eta0 * pi[pos], gen, size=size)
+    if pos.all():
+        return gen.multinomial(n, p_pos)
     if size is None:
         probs = np.zeros(pi.shape[0])
         probs[pos] = p_pos
@@ -119,6 +130,9 @@ def sample_dm_matrix(
 
     Cluster sizes may differ; each cluster uses the concentration derived
     from its own n_k so that every row hits the same dispersion phi.
+    Equal sizes make one batched draw, returned reshaped without a copy;
+    unequal sizes make one draw per distinct size, each copied into the
+    stacked result.
     """
     sizes = np.asarray(cluster_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.shape[0] < 1:
@@ -128,13 +142,19 @@ def sample_dm_matrix(
     pi = _checked_probs(pi)
     K, C = sizes.shape[0], pi.shape[0]
     B = 1 if size is None else int(size)
-    counts = np.empty((B, K, C), dtype=np.int64)
     # One batched draw per distinct cluster size keeps the stream usage
     # deterministic and the generation fully vectorised.
-    for n in np.unique(sizes):
-        where = np.flatnonzero(sizes == n)
-        block = draw_dm_counts(int(n), pi, phi, gen, size=B * where.shape[0])
-        counts[:, where, :] = block.reshape(B, where.shape[0], C)
+    distinct = np.unique(sizes)
+    if distinct.shape[0] == 1:
+        counts = draw_dm_counts(int(distinct[0]), pi, phi, gen, size=B * K).reshape(B, K, C)
+    else:
+        counts = np.empty((B, K, C), dtype=np.int64)
+        for n in distinct:
+            where = np.flatnonzero(sizes == n)
+            # Not named, so each block is freed before the next one is drawn.
+            counts[:, where, :] = draw_dm_counts(
+                int(n), pi, phi, gen, size=B * where.shape[0]
+            ).reshape(B, where.shape[0], C)
     return counts[0] if size is None else counts
 
 

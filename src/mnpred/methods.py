@@ -30,7 +30,7 @@ from .bootstrap import (
     symmetric_calibration,
 )
 from .errors import ValidationError
-from .model import FutureSpec, HistoricalDataset, ModelFit, PredictionIntervalSet
+from .model import PREDICT_DEFAULTS, FutureSpec, HistoricalDataset, ModelFit, PredictionIntervalSet
 from .rng import RngStream, require_stream
 
 __all__ = [
@@ -133,11 +133,11 @@ def compute_intervals(
     spec: FutureSpec,
     requests: tuple[MethodRequest, ...],
     rng: RngStream,
-    B: int = 10_000,
-    mvn_draws: int = 100_000,
-    chains: int = 4,
-    sampling_iters: int = 2500,
-    warmup: int = 1000,
+    B: int = PREDICT_DEFAULTS.B,
+    mvn_draws: int = PREDICT_DEFAULTS.mvn_draws,
+    chains: int = PREDICT_DEFAULTS.chains,
+    sampling_iters: int = PREDICT_DEFAULTS.sampling_iters,
+    warmup: int = PREDICT_DEFAULTS.warmup,
     clip: bool = True,
 ) -> dict[str, PredictionIntervalSet]:
     """Compute every requested interval set, sharing ensembles and posteriors."""

@@ -26,6 +26,7 @@ __all__ = [
     "HistoricalDataset",
     "ModelFit",
     "FutureSpec",
+    "PREDICT_DEFAULTS",
     "PredictionPoint",
     "PredictionIntervalSet",
     "pearson_dispersion",
@@ -134,6 +135,25 @@ class FutureSpec:
         object.__setattr__(self, "m", int(self.m))
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class PredictSettings:
+    """Run lengths of ``predict``.
+
+    ``PREDICT_DEFAULTS`` is the one place their defaults are written: the
+    CLI, ``compute_intervals``, ``mcmc_sample`` and the MVN quantile read
+    them from it.  ``simulate`` keeps its own set on ``Scenario``.
+    """
+
+    B: int = 10_000
+    mvn_draws: int = 100_000
+    chains: int = 4
+    sampling_iters: int = 2500
+    warmup: int = 1000
+
+
+PREDICT_DEFAULTS = PredictSettings()
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,21 @@ def crafted(y_pred, m):
     return PredictiveSamples(y_pred=np.asarray(y_pred), m=m)
 
 
+def test_predictive_summaries_computed_once():
+    y_pred = np.random.default_rng(9).multinomial(40, [0.1, 0.2, 0.3, 0.4], size=3000)
+    pred = crafted(y_pred, m=40)
+    first_mean, first_sd = pred.y_hat, pred.sd
+    assert first_mean.tobytes() == y_pred.mean(axis=0).tobytes()
+    assert first_sd.tobytes() == y_pred.std(axis=0, ddof=1).tobytes()
+    for _ in range(3):
+        assert pred.y_hat is first_mean and pred.sd is first_sd
+    # every read shares one array, so none of them may write to it
+    with pytest.raises(ValueError):
+        first_mean[0] = 0.0
+    with pytest.raises(ValueError):
+        first_sd[0] = 0.0
+
+
 class TestBayesConstructions:
     def test_bonferroni_quantile_oracle(self):
         pred = crafted(np.arange(100)[:, None], m=99)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mnpred.bootstrap import (
 from mnpred.dm import draw_dm_counts, repair_zero_columns, sample_dm_matrix
 from mnpred.empirical import nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
+from mnpred.model import clamp_dispersion, pearson_dispersion
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,63 @@ class TestBuildEnsemble:
     def test_rejects_tiny_ensemble(self, histo_data, histo_fit):
         with pytest.raises(ValidationError):
             build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=10), B=1, rng=mp.RngStream(1))
+
+    def test_matches_unblocked_refit(self, histo_data, histo_fit):
+        """The refit over replicate blocks gives the bytes of one whole-ensemble refit."""
+        spec, B, m = mp.FutureSpec(m=46), 1234, 46
+        ens = build_ensemble(histo_fit, histo_data, spec, B, mp.RngStream(34))
+        gen = mp.RngStream(34).generator()
+        counts = sample_dm_matrix(
+            histo_data.cluster_sizes, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
+        )
+        counts = repair_zero_columns(counts, gen)
+        n_star = counts.sum(axis=2)
+        N_star = n_star.sum(axis=1).astype(float)
+        pi_star = counts.sum(axis=1) / N_star[:, None]
+        phi_raw = pearson_dispersion(counts, pi_star)[2]
+        cap = 0.975 * n_star.min(axis=1)
+        phi_star = np.where(phi_raw > 1.0, np.minimum(phi_raw, cap), 1.01)
+        y_hat_star = m * pi_star
+        var = phi_star[:, None] * m * pi_star * (1.0 - pi_star) * (1.0 + m / N_star[:, None])
+        sep_star = np.sqrt(np.maximum(var, 0.0))
+        phi_future = clamp_dispersion(histo_fit.phi_hat, m)
+        y_star = draw_dm_counts(m, histo_fit.pi_hat, phi_future, gen, size=B)
+        z = (y_star - y_hat_star) / sep_star
+        pairs = (
+            (ens.y_hat_star, y_hat_star),
+            (ens.sep_star, sep_star),
+            (ens.y_star, y_star),
+            (ens.z, z),
+        )
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestEnsembleMemory:
+    """The ensemble holds at most the Dirichlet draw and the counts at once.
+
+    Copies of the (B, K, C) table (a contiguous concentration, a second
+    normalised array, a zero-filled probability array, a stacked copy of
+    one batched draw and whole-table refit residuals) would push the
+    traced peak past 3 x B*K*C*8 bytes; the lean ensemble sits near 2 x.
+    """
+
+    @pytest.mark.parametrize("unequal", [False, True])
+    def test_peak_under_three_tables(self, unequal):
+        K, C, B = 50, 10, 2000
+        pi = np.linspace(1.0, 2.0, C)
+        sizes = np.where(np.arange(K) % 2 == 1, 60, 50) if unequal else 50
+        root = mp.RngStream(35)
+        data = mp.generate_dataset(K, sizes, pi / pi.sum(), 5.0, root.child(0), repair=True)
+        fit = mp.fit_model(data)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build_ensemble(fit, data, mp.FutureSpec(m=50), B, root.child(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * B * K * C * 8
 
 
 def _assert_minimal_order_statistic(stat, q, target):

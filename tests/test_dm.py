@@ -4,7 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mnpred as mp
-from mnpred.dm import repair_zero_columns, sample_dirichlet, sample_dm_matrix
+from mnpred.dm import (
+    _MAX_REDRAWS,
+    _checked_probs,
+    derive_eta0,
+    draw_dm_counts,
+    repair_zero_columns,
+    sample_dirichlet,
+    sample_dm_matrix,
+)
 from mnpred.errors import InvalidDispersion, ValidationError, ZeroProbability
 
 
@@ -158,3 +166,126 @@ class TestGenerateDataset:
             4, 46, (0.224, 0.466, 0.273, 0.031, 0.004), 3.19, mp.RngStream(22), repair=True
         )
         assert data.n_categories == 5
+
+
+# Reference copies of the draws as they were before the ensemble stopped
+# copying its (B, K, C) temporaries.  The lean code must give the same bytes.
+
+
+def reference_sample_dirichlet(eta, gen, size=None):
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0 or eta.shape[-1] < 1:
+        raise ValidationError("concentration vectors must lie along the last axis")
+    if np.any(eta <= 0.0):
+        raise ZeroProbability("Dirichlet concentrations must be strictly positive")
+    out_shape = eta.shape if size is None else (int(size),) + eta.shape
+    if size is not None:
+        if eta.ndim != 1:
+            raise ValidationError("size expansion needs a 1-D concentration vector")
+        eta = np.broadcast_to(eta, out_shape)
+    C = eta.shape[-1]
+    flat_eta = np.ascontiguousarray(eta).reshape(-1, C)
+    g = gen.gamma(shape=flat_eta)
+    total = g.sum(axis=1)
+    for _ in range(_MAX_REDRAWS):
+        dead = np.flatnonzero(total == 0.0)
+        if dead.shape[0] == 0:
+            break
+        g[dead] = gen.gamma(shape=flat_eta[dead])
+        total[dead] = g[dead].sum(axis=1)
+    else:
+        dead = total == 0.0
+        g[dead] = flat_eta[dead]
+        total[dead] = g[dead].sum(axis=1)
+    return (g / total[:, None]).reshape(out_shape)
+
+
+def reference_draw_dm_counts(n, pi, phi, gen, size=None):
+    pi = _checked_probs(pi)
+    n = int(n)
+    if n < 1:
+        raise ValidationError(f"cluster size must be positive, got {n}")
+    if n == 1:
+        return gen.multinomial(1, pi, size=size)
+    eta0 = derive_eta0(n, phi)
+    pos = pi > 0.0
+    p_pos = reference_sample_dirichlet(eta0 * pi[pos], gen, size=size)
+    if size is None:
+        probs = np.zeros(pi.shape[0])
+        probs[pos] = p_pos
+    else:
+        probs = np.zeros((int(size), pi.shape[0]))
+        probs[:, pos] = p_pos
+    return gen.multinomial(n, probs)
+
+
+def reference_sample_dm_matrix(cluster_sizes, pi, phi, gen, size=None):
+    sizes = np.asarray(cluster_sizes, dtype=np.int64)
+    pi = _checked_probs(pi)
+    K, C = sizes.shape[0], pi.shape[0]
+    B = 1 if size is None else int(size)
+    counts = np.empty((B, K, C), dtype=np.int64)
+    for n in np.unique(sizes):
+        where = np.flatnonzero(sizes == n)
+        block = reference_draw_dm_counts(int(n), pi, phi, gen, size=B * where.shape[0])
+        counts[:, where, :] = block.reshape(B, where.shape[0], C)
+    return counts[0] if size is None else counts
+
+
+def assert_same_draws(new, reference, *args, **kwargs):
+    """Both functions from one stream address: equal bytes, dtype, shape and stream position."""
+    gen_new, gen_ref = mp.RngStream(91).generator(), mp.RngStream(91).generator()
+    got, want = new(*args, gen_new, **kwargs), reference(*args, gen_ref, **kwargs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+
+class TestMatchesReferenceDraws:
+    @pytest.mark.parametrize("size", [None, 1, 2000])
+    def test_dirichlet_size(self, size):
+        assert_same_draws(sample_dirichlet, reference_sample_dirichlet, [0.5, 3.0, 7.5], size=size)
+
+    def test_dirichlet_batch_eta(self):
+        eta = np.random.default_rng(5).uniform(0.1, 20.0, size=(300, 5))
+        assert_same_draws(sample_dirichlet, reference_sample_dirichlet, eta)
+
+    def test_dirichlet_redraws_dead_rows(self):
+        # Gammas at shape 3e-3 underflow to zero about one time in ten, so
+        # some of the 2000 rows are dead and take the redraw loop.
+        eta = np.full(2, 3e-3)
+        first = mp.RngStream(91).generator().gamma(shape=eta, size=(2000, 2))
+        assert np.any(first.sum(axis=1) == 0.0)
+        assert_same_draws(sample_dirichlet, reference_sample_dirichlet, eta, size=2000)
+
+    def test_dirichlet_underflow_fallback(self):
+        # At 1e-300 every redraw underflows too, so dead rows end at the mean direction.
+        eta = np.vstack([np.full((3, 3), 1e-300), [[2.0, 3.0, 5.0]], np.full((2, 3), 1e-300)])
+        assert_same_draws(sample_dirichlet, reference_sample_dirichlet, eta)
+        assert_same_draws(sample_dirichlet, reference_sample_dirichlet, eta[0], size=4)
+
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_dirichlet_leaves_eta_unchanged(self, size):
+        eta = np.vstack([np.full((2, 3), 1e-300), np.full((4, 3), 2.5)])
+        if size is not None:
+            eta = eta[-1]
+        before = eta.copy()
+        sample_dirichlet(eta, mp.RngStream(92).generator(), size=size)
+        np.testing.assert_array_equal(eta, before)
+
+    @pytest.mark.parametrize("pi", [(0.2, 0.3, 0.5), (0.5, 0.0, 0.5)])
+    @pytest.mark.parametrize("size", [None, 500])
+    def test_dm_counts(self, pi, size):
+        assert_same_draws(draw_dm_counts, reference_draw_dm_counts, 23, pi, 4.0, size=size)
+
+    @pytest.mark.parametrize("sizes", [[40] * 30, [10, 30, 20, 30, 10, 45]])
+    @pytest.mark.parametrize("size", [None, 1, 300])
+    def test_dm_matrix(self, sizes, size):
+        pi = (0.1, 0.2, 0.3, 0.4)
+        assert_same_draws(sample_dm_matrix, reference_sample_dm_matrix, sizes, pi, 3.0, size=size)
+
+    def test_dm_matrix_structural_zero(self):
+        pi = (0.3, 0.0, 0.7)
+        assert_same_draws(
+            sample_dm_matrix, reference_sample_dm_matrix, [25] * 8, pi, 2.0, size=50
+        )

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import mnpred as mp
+from mnpred.asymptotic import equicoordinate_quantile, mvn_interval
+from mnpred.bayes import mcmc_sample
 from mnpred.catalog import build_scenarios
-from mnpred.cli import main
+from mnpred.cli import _build_parser, main
 from mnpred.errors import ParseError, ValidationError
 from mnpred.io import (
     INTERVAL_COLUMNS,
@@ -27,6 +30,8 @@ from mnpred.io import (
     simulation_rows,
     write_text,
 )
+from mnpred.methods import compute_intervals
+from mnpred.model import PREDICT_DEFAULTS
 from mnpred.simulation import Scenario, run_simulation
 
 
@@ -280,6 +285,24 @@ PREDICT_FAST = ["--methods", "pointwise,bonferroni,masr", "--B", "500"]
 
 
 class TestCliPredict:
+    def test_defaults_are_the_api_defaults(self):
+        """Every predict run-length default is read from PREDICT_DEFAULTS."""
+        args = _build_parser().parse_args(["predict", "--data", "x.csv", "--m", "5"])
+        d = PREDICT_DEFAULTS
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert (args.B, args.mvn_draws, args.chains, args.sampling, args.warmup) == (
+            d.B, d.mvn_draws, d.chains, d.sampling_iters, d.warmup,
+        )
+        for field in ("B", "mvn_draws", "chains", "sampling_iters", "warmup"):
+            assert default(compute_intervals, field) == getattr(d, field)
+        for field in ("chains", "sampling_iters", "warmup"):
+            assert default(mcmc_sample, field) == getattr(d, field)
+        assert default(mvn_interval, "n_draws") == d.mvn_draws
+        assert default(equicoordinate_quantile, "n_draws") == d.mvn_draws
+
     def test_generated_inputs_parse(self, cli_files):
         _, counts, future = cli_files
         data = parse_counts_csv(counts)

@@ -13,6 +13,7 @@ from mnpred.errors import (
     ZeroCategory,
     ZeroProbability,
 )
+from mnpred.bootstrap import _REFIT_BLOCK
 from mnpred.model import pearson_dispersion
 
 
@@ -112,6 +113,21 @@ class TestDispersion:
         for b in range(counts.shape[0]):
             single = pearson_dispersion(counts[b], pi[b])
             assert [float(x[b]) for x in batched] == [float(x) for x in single]
+
+    def test_blocked_kernel_matches_whole_batch(self):
+        """The ensemble refit runs the kernel over blocks of replicates; the bytes must not move."""
+        B = 1234  # not a multiple of the block, so the last block is short
+        assert B % _REFIT_BLOCK
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 40, size=(B, 12, 6)) + 1
+        pi = counts.sum(axis=1) / counts.sum(axis=(1, 2))[:, None]
+        whole = pearson_dispersion(counts, pi)
+        blocks = [
+            pearson_dispersion(counts[i : i + _REFIT_BLOCK], pi[i : i + _REFIT_BLOCK])
+            for i in range(0, B, _REFIT_BLOCK)
+        ]
+        for k in range(3):
+            assert np.concatenate([b[k] for b in blocks]).tobytes() == whole[k].tobytes()
 
     @given(count_matrices())
     def test_pooled_mle_sums_to_one(self, counts):
