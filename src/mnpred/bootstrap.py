@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dm import draw_dm_counts, repair_zero_columns, sample_dm_matrix
+from .dm import draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
 from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
 from .errors import DegenerateRankWarning, ValidationError
 from .model import (
@@ -49,10 +49,12 @@ __all__ = [
     "rank_scs_interval",
 ]
 
-# Replicates per refit block: the Pearson residual temporaries then cover
-# 500 tables at a time, not the whole (B, K, C) ensemble.  Each replicate's
-# sums run over its own table only, so the block size never moves a byte.
+# A refit block holds at most _REFIT_BLOCK replicates and _REFIT_CELLS table
+# cells, so each Pearson residual temporary stays near half a MB whatever
+# K*C is, and small tables keep their blocks of 500.  Each replicate's sums
+# run over its own table only, so the block size never moves a byte.
 _REFIT_BLOCK = 500
+_REFIT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,13 @@ def build_ensemble(
     ``fit_model`` does, and draws one future cluster of m units with
     the dispersion re-truncated to 97.5% of m.
 
-    Peak memory is about 2 x B*K*C*8 bytes: the float Dirichlet draw and
-    the int64 multinomial counts drawn from it, and later the counts and
-    the copy that ``repair_zero_columns`` makes.  Unequal cluster sizes
-    make one draw per distinct size and copy each into the stacked
-    counts; that buffer is live while each size is drawn, so the peak
-    reaches about 3 x when one size holds almost every cluster.  The
-    refit runs over blocks of replicates, so its temporaries stay small.
+    Peak memory is about 1 x B*K*C*8 bytes plus a fixed working set:
+    the counts are drawn into the float Dirichlet buffer they come from
+    and repaired in place, and the multinomial and the refit run over
+    blocks of fixed size.  Unequal cluster sizes make one draw per
+    distinct size and copy each into the stacked counts; that buffer is
+    live while each size is drawn, so the peak reaches about 2.1 x when
+    one size holds almost every cluster.
     """
     gen = require_stream(rng, "build_ensemble").generator()
     B = int(B)
@@ -103,18 +105,22 @@ def build_ensemble(
     m = spec.m
     sizes = data.cluster_sizes
 
+    # Looked up in this module's globals at call time, so a wrapper set as
+    # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
+    # sees every ensemble draw.
     counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=B)
-    counts = repair_zero_columns(counts, gen)
+    repair_zero_columns_in_place(counts, gen)
 
     # Vectorised refit, replicating fit_model row for row.
     n_star = counts.sum(axis=2)                          # (B, K)
     totals = counts.sum(axis=1)                          # (B, C)
     N_star = n_star.sum(axis=1).astype(float)            # (B,)
     pi_star = totals / N_star[:, None]
+    block = max(1, min(_REFIT_BLOCK, _REFIT_CELLS // counts[0].size))
     phi_raw = np.concatenate(
         [
-            pearson_dispersion(counts[i : i + _REFIT_BLOCK], pi_star[i : i + _REFIT_BLOCK])[2]
-            for i in range(0, B, _REFIT_BLOCK)
+            pearson_dispersion(counts[i : i + block], pi_star[i : i + block])[2]
+            for i in range(0, B, block)
         ]
     )
     cap = 0.975 * n_star.min(axis=1)

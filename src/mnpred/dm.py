@@ -27,6 +27,9 @@ __all__ = [
 # Retry budget for redrawing Dirichlet rows whose gamma draws all
 # underflow to zero (possible only for very small concentrations).
 _MAX_REDRAWS = 1000
+# Probability rows per multinomial call.  Generator.multinomial reads a 2-D
+# pvals row by row, so drawing in row blocks gives the draws of one call.
+_ROW_BLOCK = 4096
 
 
 def derive_eta0(n: int | float, phi: float) -> float:
@@ -99,9 +102,11 @@ def draw_dm_counts(
 ) -> np.ndarray:
     """``sample_dm_counts`` drawing from a live generator.
 
-    When every pi is positive the Dirichlet draw is passed to the
-    multinomial as it is; structural zeros are first spread into a
-    zero-filled probability array.
+    The counts are written over the Dirichlet draw they come from (see
+    ``multinomial_in_place``), so a draw of R clusters takes one R x C
+    buffer plus one block of ``_ROW_BLOCK`` rows.  Structural zeros are
+    first spread into a zero-filled probability array, which then
+    replaces the draw.
     """
     pi = _checked_probs(pi)
     n = int(n)
@@ -111,16 +116,30 @@ def draw_dm_counts(
         return gen.multinomial(1, pi, size=size)
     eta0 = derive_eta0(n, phi)
     pos = pi > 0.0
-    p_pos = sample_dirichlet(eta0 * pi[pos], gen, size=size)
+    p = sample_dirichlet(eta0 * pi[pos], gen, size=size)
     if pos.all():
-        return gen.multinomial(n, p_pos)
-    if size is None:
-        probs = np.zeros(pi.shape[0])
-        probs[pos] = p_pos
-    else:
-        probs = np.zeros((int(size), pi.shape[0]))
-        probs[:, pos] = p_pos
-    return gen.multinomial(n, probs)
+        return multinomial_in_place(n, p, gen)
+    probs = np.zeros(p.shape[:-1] + pi.shape)
+    probs[..., pos] = p
+    del p  # freed before the multinomial, which needs only probs
+    return multinomial_in_place(n, probs, gen)
+
+
+def multinomial_in_place(n: int, probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Multinomial(n, p) for each row p of ``probs``, drawn into ``probs``' own buffer.
+
+    ``probs`` is a fresh C-contiguous float64 array with categories along
+    its last axis, and the call consumes it.  int64 and float64 are both
+    8 bytes wide, so each block of ``_ROW_BLOCK`` rows of counts is
+    written over the rows it was just drawn from; the result is the int64
+    view of that buffer, in ``probs``' shape.  The draws equal those of
+    one ``gen.multinomial(n, probs)`` call.
+    """
+    rows = probs.reshape(-1, probs.shape[-1])
+    counts = rows.view(np.int64)
+    for i in range(0, rows.shape[0], _ROW_BLOCK):
+        counts[i : i + _ROW_BLOCK] = gen.multinomial(n, rows[i : i + _ROW_BLOCK])
+    return counts.reshape(probs.shape)
 
 
 def sample_dm_matrix(
@@ -130,9 +149,11 @@ def sample_dm_matrix(
 
     Cluster sizes may differ; each cluster uses the concentration derived
     from its own n_k so that every row hits the same dispersion phi.
-    Equal sizes make one batched draw, returned reshaped without a copy;
-    unequal sizes make one draw per distinct size, each copied into the
-    stacked result.
+    Equal sizes make one batched draw, returned reshaped without a copy,
+    so the peak is the B*K*C*8-byte table plus one multinomial row block.
+    Unequal sizes make one draw per distinct size, each copied into the
+    stacked result while it is live, so the peak reaches about 2.1 x the
+    table when one size holds almost every cluster.
     """
     sizes = np.asarray(cluster_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.shape[0] < 1:
@@ -163,18 +184,20 @@ def repair_zero_columns(counts: np.ndarray, gen: np.random.Generator) -> np.ndar
 
     Accepts a single K x C matrix or a batch stacked along the first
     axis.  The chosen cluster's size grows by one, mirroring how an
-    extra observation would enter the pooled data.
+    extra observation would enter the pooled data.  The result is a
+    repaired copy; ``counts`` itself is left unchanged.
     """
-    counts = np.array(counts)
-    single = counts.ndim == 2
-    if single:
-        counts = counts[None]
-    B, K, _ = counts.shape
-    batch_idx, col_idx = np.nonzero(counts.sum(axis=1) == 0)
+    return repair_zero_columns_in_place(np.array(counts), gen)
+
+
+def repair_zero_columns_in_place(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """``repair_zero_columns`` writing into ``counts`` itself, which it returns."""
+    table = counts[None] if counts.ndim == 2 else counts
+    batch_idx, col_idx = np.nonzero(table.sum(axis=1) == 0)
     if batch_idx.shape[0]:
-        rows = gen.integers(0, K, size=batch_idx.shape[0])
-        counts[batch_idx, rows, col_idx] += 1
-    return counts[0] if single else counts
+        rows = gen.integers(0, table.shape[1], size=batch_idx.shape[0])
+        table[batch_idx, rows, col_idx] += 1
+    return counts
 
 
 def generate_dataset(
@@ -198,7 +221,7 @@ def generate_dataset(
     sizes = np.broadcast_to(np.asarray(n, dtype=np.int64), (int(K),))
     counts = sample_dm_matrix(sizes, pi, phi, gen)
     if repair:
-        counts = repair_zero_columns(counts, gen)
+        repair_zero_columns_in_place(counts, gen)
     return HistoricalDataset(counts=counts, categories=categories)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -106,6 +108,19 @@ class TestEquicoordinateQuantile:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             mp.equicoordinate_quantile(np.ones((2, 3)), 0.05, mp.RngStream(18))
+
+    def test_peak_memory_is_a_few_draw_vectors(self):
+        """Only max|Z| per draw outlives its block of shocks, not an n_draws x C table."""
+        C, n_draws = 10, 100_000
+        corr = np.corrcoef(np.random.default_rng(19).standard_normal((C, 4 * C)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(19), n_draws=n_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n_draws * 8
 
 
 class TestAsymptoticIntervals:

@@ -130,6 +130,35 @@ class TestEnsembleMemory:
             tracemalloc.stop()
         assert peak < 3 * B * K * C * 8
 
+    def test_equal_sizes_peak_near_one_table(self):
+        """The counts are drawn into the Dirichlet buffer and repaired in place."""
+        K, C, B = 50, 10, 2000
+        pi = np.linspace(1.0, 2.0, C)
+        root = mp.RngStream(35)
+        data = mp.generate_dataset(K, 50, pi / pi.sum(), 5.0, root.child(0), repair=True)
+        fit = mp.fit_model(data)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build_ensemble(fit, data, mp.FutureSpec(m=50), B, root.child(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * B * K * C * 8
+
+
+def test_ensemble_draw_goes_through_the_module_global(monkeypatch, histo_data, histo_fit):
+    """perfbench times the ensemble draw by wrapping bootstrap.sample_dm_matrix."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs.get("size"))
+        return sample_dm_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", wrapped)
+    build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 30, mp.RngStream(36))
+    assert calls == [30]
+
 
 def _assert_minimal_order_statistic(stat, q, target):
     """q is a value of stat covering target, and the next-lower value covers less."""
