@@ -103,17 +103,17 @@ def equicoordinate_quantile(
     return nearest_rank_quantile(max_abs, 1.0 - alpha)
 
 
-def pointwise_interval(fit: ModelFit, spec: FutureSpec, clip: bool = True) -> PredictionIntervalSet:
+def pointwise_interval(fit: ModelFit, spec: FutureSpec) -> PredictionIntervalSet:
     """Per-category normal interval with no multiplicity adjustment."""
     q = float(ndtri(1.0 - spec.alpha / 2.0))
-    return scaled_interval_set("pointwise", prediction_point(fit, spec), q, q, spec, clip=clip)
+    return scaled_interval_set("pointwise", prediction_point(fit, spec), q, q, spec)
 
 
-def bonferroni_interval(fit: ModelFit, spec: FutureSpec, clip: bool = True) -> PredictionIntervalSet:
+def bonferroni_interval(fit: ModelFit, spec: FutureSpec) -> PredictionIntervalSet:
     """Normal interval at the Bonferroni-corrected level alpha / C."""
     C = fit.pi_hat.shape[0]
     q = float(ndtri(1.0 - spec.alpha / (2.0 * C)))
-    return scaled_interval_set("bonferroni", prediction_point(fit, spec), q, q, spec, clip=clip)
+    return scaled_interval_set("bonferroni", prediction_point(fit, spec), q, q, spec)
 
 
 def mvn_interval(
@@ -121,9 +121,8 @@ def mvn_interval(
     spec: FutureSpec,
     rng: RngStream,
     n_draws: int = PREDICT_DEFAULTS.mvn_draws,
-    clip: bool = True,
 ) -> PredictionIntervalSet:
     """Equicoordinate normal interval honouring the prediction correlations."""
     cov = prediction_covariance(fit, spec)
     q = equicoordinate_quantile(cov.corr, spec.alpha, rng, n_draws=n_draws)
-    return scaled_interval_set("mvn", prediction_point(fit, spec), q, q, spec, clip=clip)
+    return scaled_interval_set("mvn", prediction_point(fit, spec), q, q, spec)

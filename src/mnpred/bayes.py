@@ -459,24 +459,18 @@ def posterior_predictive(draws: PosteriorDraws, m: int, rng: RngStream) -> Predi
 
 
 def bayes_bonferroni_interval(
-    pred: PredictiveSamples,
-    alpha: float,
-    label: str = "bayes-bonf",
-    clip: bool = True,
+    pred: PredictiveSamples, alpha: float, label: str = "bayes-bonf"
 ) -> PredictionIntervalSet:
     """Per-category predictive quantiles at the Bonferroni-adjusted level."""
     spec = FutureSpec(pred.m, alpha)
     C = pred.y_pred.shape[1]
     lower = nearest_rank_quantile(pred.y_pred, alpha / (2.0 * C))
     upper = nearest_rank_quantile(pred.y_pred, 1.0 - alpha / (2.0 * C))
-    return interval_set(label, PredictionPoint(pred.y_hat, pred.sd), spec, lower, upper, clip=clip)
+    return interval_set(label, PredictionPoint(pred.y_hat, pred.sd), spec, lower, upper)
 
 
 def bayes_mean_centered_interval(
-    pred: PredictiveSamples,
-    alpha: float,
-    label: str = "bayes-mean",
-    clip: bool = True,
+    pred: PredictiveSamples, alpha: float, label: str = "bayes-mean"
 ) -> PredictionIntervalSet:
     """Mean-centred band calibrated on the max standardised predictive deviation.
 
@@ -492,17 +486,14 @@ def bayes_mean_centered_interval(
         q = max_abs_quantile(z, alpha)
     else:
         q = 0.0
-    return scaled_interval_set(label, point, q, q, spec, clip=clip)
+    return scaled_interval_set(label, point, q, q, spec)
 
 
 def bayes_rank_scs_interval(
-    pred: PredictiveSamples,
-    alpha: float,
-    label: str = "bayes-scs",
-    clip: bool = True,
+    pred: PredictiveSamples, alpha: float, label: str = "bayes-scs"
 ) -> PredictionIntervalSet:
     """Rank-based simultaneous bounds taken directly on predictive counts."""
     spec = FutureSpec(pred.m, alpha)
     summary = rank_summary(pred.y_pred, alpha)
     point = PredictionPoint(pred.y_hat, pred.sd)
-    return interval_set(label, point, spec, summary.lower, summary.upper, clip=clip)
+    return interval_set(label, point, spec, summary.lower, summary.upper)

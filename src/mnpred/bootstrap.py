@@ -30,6 +30,7 @@ from .model import (
     clamp_dispersion,
     pearson_dispersion,
     prediction_point,
+    prediction_se,
     scaled_interval_set,
 )
 from .rng import RngStream, require_stream
@@ -123,12 +124,10 @@ def build_ensemble(
             for i in range(0, B, block)
         ]
     )
-    cap = 0.975 * n_star.min(axis=1)
-    phi_star = np.where(phi_raw > 1.0, np.minimum(phi_raw, cap), 1.01)
+    phi_star = clamp_dispersion(phi_raw, n_star.min(axis=1))
 
     y_hat_star = m * pi_star
-    var = phi_star[:, None] * m * pi_star * (1.0 - pi_star) * (1.0 + m / N_star[:, None])
-    sep_star = np.sqrt(np.maximum(var, 0.0))
+    sep_star = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
 
     phi_future = clamp_dispersion(fit.phi_hat, m) if m >= 2 else fit.phi_hat
     y_star = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=B)
@@ -188,56 +187,35 @@ def rank_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
 
 
 def symmetric_calibration(
-    ensemble: BootstrapEnsemble,
-    fit: ModelFit,
-    spec: FutureSpec,
-    clip: bool = True,
+    ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
     q = symmetric_multiplier(ensemble.z, spec.alpha)
-    return scaled_interval_set("symmetric", prediction_point(fit, spec), q, q, spec, clip=clip)
+    return scaled_interval_set("symmetric", prediction_point(fit, spec), q, q, spec)
 
 
 def asymmetric_calibration(
-    ensemble: BootstrapEnsemble,
-    fit: ModelFit,
-    spec: FutureSpec,
-    clip: bool = True,
+    ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
     q_lo, q_hi = asymmetric_multipliers(ensemble.z, spec.alpha)
-    return scaled_interval_set(
-        "asymmetric", prediction_point(fit, spec), q_lo, q_hi, spec, clip=clip
-    )
+    return scaled_interval_set("asymmetric", prediction_point(fit, spec), q_lo, q_hi, spec)
 
 
 def marginal_calibration(
-    ensemble: BootstrapEnsemble,
-    fit: ModelFit,
-    spec: FutureSpec,
-    clip: bool = True,
+    ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
     q_lo, q_hi = marginal_multipliers(ensemble.z, spec.alpha)
-    return scaled_interval_set(
-        "marginal", prediction_point(fit, spec), q_lo, q_hi, spec, clip=clip
-    )
+    return scaled_interval_set("marginal", prediction_point(fit, spec), q_lo, q_hi, spec)
 
 
 def masr_interval(
-    ensemble: BootstrapEnsemble,
-    fit: ModelFit,
-    spec: FutureSpec,
-    clip: bool = True,
+    ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
     q = masr_multiplier(ensemble.z, spec.alpha)
-    return scaled_interval_set("masr", prediction_point(fit, spec), q, q, spec, clip=clip)
+    return scaled_interval_set("masr", prediction_point(fit, spec), q, q, spec)
 
 
 def rank_scs_interval(
-    ensemble: BootstrapEnsemble,
-    fit: ModelFit,
-    spec: FutureSpec,
-    clip: bool = True,
+    ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
     q_lo, q_hi = rank_multipliers(ensemble.z, spec.alpha)
-    return scaled_interval_set(
-        "rank-scs", prediction_point(fit, spec), q_lo, q_hi, spec, clip=clip
-    )
+    return scaled_interval_set("rank-scs", prediction_point(fit, spec), q_lo, q_hi, spec)

@@ -5,7 +5,8 @@ sum to 0.99 or 1.05 because of rounding in the source tables); they are
 renormalized when a Scenario is constructed.  Vectors are crossed with
 the cluster-count, size and dispersion grids to give 32 x 4 x 4 x 3 =
 1536 cells.  build_scenarios turns a simulate config into the cells to
-run: one custom cell or a prefix-filtered slice of the catalog.
+run: one custom cell or a prefix-filtered slice of the catalog, with the
+config's run settings.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ CLUSTER_GRID: tuple[int, ...] = (5, 10, 20, 100)
 SIZE_GRID: tuple[int, ...] = (10, 50, 100, 500)
 DISPERSION_GRID: tuple[float, ...] = (1.01, 5.0, 8.0)
 
-# n_iter, B and S of the original study
-_FULL_SCALE = {"n_iter": 1000, "B": 10_000, "S": 10_000}
-
 
 def catalog_vectors() -> dict[str, np.ndarray]:
     """All 32 probability vectors, renormalized, keyed by id like 'C5-07'."""
@@ -133,9 +131,10 @@ def build_scenarios(cfg: RunConfig) -> list[Scenario]:
     A config with `pi` is one custom cell (K, n and phi required, m
     defaulting to n); without it, the catalog cells whose id starts with
     one of the `scenarios` prefixes (all cells when none are given).
-    full_scale replaces n_iter, B and S with the original study's.
-    Settings that would be ignored, and filters that match nothing,
-    raise ValidationError.
+    Every run setting is taken from the config as written (the original
+    study's scale is n_iter = 1000, B = 10000, S = 10000).  Settings
+    that would be ignored, and filters that match nothing, raise
+    ValidationError.
     """
     settings = dict(
         n_iter=cfg.n_iter,
@@ -150,8 +149,6 @@ def build_scenarios(cfg: RunConfig) -> list[Scenario]:
         mvn_draws=cfg.mvn_draws,
         priors=cfg.priors,
     )
-    if cfg.full_scale:
-        settings.update(_FULL_SCALE)
     if cfg.pi is None:
         stray = [name for name in ("K", "n", "m", "phi") if getattr(cfg, name) is not None]
         if stray:

@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default="cauchy", help="comma list from {cauchy, beta}")
     p.add_argument("--mvn-draws", type=int, default=run.mvn_draws)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-clip", action="store_true", help="do not clip bounds to [0, m]")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="default: from --out extension")
     p.set_defaults(func=_cmd_predict)
@@ -91,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True, help="flat key = value config file")
     s.add_argument("--out", help="output path (default: stdout)")
     s.add_argument("--format", choices=("csv", "json"))
-    s.add_argument("--full-scale", action="store_true", help="the original study's n_iter, B and S")
     s.set_defaults(func=_cmd_simulate)
     return parser
 
@@ -149,7 +147,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         chains=args.chains,
         sampling_iters=args.sampling,
         warmup=args.warmup,
-        clip=not args.no_clip,
     )
     rows = interval_rows(sets, data.categories)
     verdicts = None
@@ -205,7 +202,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    cfg.full_scale |= args.full_scale
     out = args.out or cfg.out
     fmt = _pick_format(args.format, out, default=cfg.format)
     rows = simulation_rows([run_simulation(s) for s in build_scenarios(cfg)])

@@ -179,19 +179,14 @@ def sample_dm_matrix(
     return counts[0] if size is None else counts
 
 
-def repair_zero_columns(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+def repair_zero_columns_in_place(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Give every empty category one unit in a uniformly chosen cluster.
 
     Accepts a single K x C matrix or a batch stacked along the first
     axis.  The chosen cluster's size grows by one, mirroring how an
-    extra observation would enter the pooled data.  The result is a
-    repaired copy; ``counts`` itself is left unchanged.
+    extra observation would enter the pooled data.  ``counts`` is
+    repaired in place and returned.
     """
-    return repair_zero_columns_in_place(np.array(counts), gen)
-
-
-def repair_zero_columns_in_place(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """``repair_zero_columns`` writing into ``counts`` itself, which it returns."""
     table = counts[None] if counts.ndim == 2 else counts
     batch_idx, col_idx = np.nonzero(table.sum(axis=1) == 0)
     if batch_idx.shape[0]:

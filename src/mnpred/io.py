@@ -162,7 +162,6 @@ class RunConfig:
     out: str | None = None
     n_iter: int = _SCENARIO_DEFAULTS["n_iter"]
     scenarios: tuple[str, ...] = ()
-    full_scale: bool = False
     repair: bool = _SCENARIO_DEFAULTS["repair"]
     mvn_draws: int = _SCENARIO_DEFAULTS["mvn_draws"]
     pi: tuple[float, ...] | None = None
@@ -177,7 +176,7 @@ class RunConfig:
 
 
 _LIST_KEYS = {"methods", "priors", "scenarios"}
-_BOOL_KEYS = {"full_scale", "repair"}
+_BOOL_KEYS = {"repair"}
 _INT_KEYS = {"B", "S", "chains", "warmup", "seed", "n_iter", "mvn_draws", "K", "n", "m"}
 _FLOAT_KEYS = {"alpha", "phi"}
 

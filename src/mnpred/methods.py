@@ -138,7 +138,6 @@ def compute_intervals(
     chains: int = PREDICT_DEFAULTS.chains,
     sampling_iters: int = PREDICT_DEFAULTS.sampling_iters,
     warmup: int = PREDICT_DEFAULTS.warmup,
-    clip: bool = True,
 ) -> dict[str, PredictionIntervalSet]:
     """Compute every requested interval set, sharing ensembles and posteriors."""
     require_stream(rng, "compute_intervals")
@@ -164,34 +163,32 @@ def compute_intervals(
     for req in requests:
         kind = req.construction
         if kind == "pointwise":
-            result = pointwise_interval(fit, spec, clip=clip)
+            result = pointwise_interval(fit, spec)
         elif kind == "bonferroni":
-            result = bonferroni_interval(fit, spec, clip=clip)
+            result = bonferroni_interval(fit, spec)
         elif kind == "mvn":
-            result = mvn_interval(
-                fit, spec, rng.child(_STREAM_MVN), n_draws=mvn_draws, clip=clip
-            )
+            result = mvn_interval(fit, spec, rng.child(_STREAM_MVN), n_draws=mvn_draws)
         elif kind == "symmetric":
-            result = symmetric_calibration(ensemble, fit, spec, clip=clip)
+            result = symmetric_calibration(ensemble, fit, spec)
         elif kind == "asymmetric":
-            result = asymmetric_calibration(ensemble, fit, spec, clip=clip)
+            result = asymmetric_calibration(ensemble, fit, spec)
         elif kind == "marginal":
-            result = marginal_calibration(ensemble, fit, spec, clip=clip)
+            result = marginal_calibration(ensemble, fit, spec)
         elif kind == "masr":
-            result = masr_interval(ensemble, fit, spec, clip=clip)
+            result = masr_interval(ensemble, fit, spec)
         elif kind == "rank-scs":
-            result = rank_scs_interval(ensemble, fit, spec, clip=clip)
+            result = rank_scs_interval(ensemble, fit, spec)
         elif kind == "bayes-bonf":
             result = bayes_bonferroni_interval(
-                predictive[req.prior], spec.alpha, label=req.output_id, clip=clip
+                predictive[req.prior], spec.alpha, label=req.output_id
             )
         elif kind == "bayes-mean":
             result = bayes_mean_centered_interval(
-                predictive[req.prior], spec.alpha, label=req.output_id, clip=clip
+                predictive[req.prior], spec.alpha, label=req.output_id
             )
         elif kind == "bayes-scs":
             result = bayes_rank_scs_interval(
-                predictive[req.prior], spec.alpha, label=req.output_id, clip=clip
+                predictive[req.prior], spec.alpha, label=req.output_id
             )
         else:  # pragma: no cover - resolve_methods screens ids
             raise ValidationError(f"unhandled construction {kind!r}")

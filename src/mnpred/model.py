@@ -252,19 +252,21 @@ def afroz_fletcher_dispersion(data: HistoricalDataset, pi) -> float:
     return float(pearson_dispersion(data.counts, _checked_pi(data, pi))[2])
 
 
-def clamp_dispersion(phi_raw: float, size_bound: int | float) -> float:
+def clamp_dispersion(phi_raw, size_bound):
     """Force a raw dispersion estimate into the usable range (1, 0.975*size_bound].
 
     Estimates at or below 1 (including NaN from fully degenerate fits)
     become 1.01; estimates at or above 97.5% of the smallest relevant
     sample size are truncated so that downstream generation stays valid.
+    Broadcasts over arrays; scalar inputs give a float.
     """
-    if size_bound < 2:
-        raise ValidationError(f"dispersion clamp needs a sample size of at least 2, got {size_bound}")
-    cap = 0.975 * float(size_bound)
-    if not phi_raw > 1.0:  # catches NaN as well
-        return 1.01
-    return float(min(phi_raw, cap))
+    if np.any(np.asarray(size_bound) < 2):
+        raise ValidationError(
+            f"dispersion clamp needs a sample size of at least 2, got {np.min(size_bound)}"
+        )
+    cap = 0.975 * np.asarray(size_bound, dtype=float)
+    phi = np.where(np.asarray(phi_raw) > 1.0, np.minimum(phi_raw, cap), 1.01)  # NaN -> 1.01
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def prediction_se(pi_c, phi: float, m: int, n_total: int):
@@ -322,12 +324,15 @@ def interval_set(
     upper,
     mult_lower=np.nan,
     mult_upper=np.nan,
-    clip: bool = True,
 ) -> PredictionIntervalSet:
-    """Assemble one method's bounds, clipped to the count range [0, m]."""
-    if clip:
-        lower = np.clip(lower, 0.0, spec.m)
-        upper = np.clip(upper, 0.0, spec.m)
+    """Assemble one method's bounds, clipped to the count range [0, m].
+
+    This is the only place bounds are clipped.  Counts lie in [0, m], so
+    the clip never changes containment or coverage; where the multipliers
+    are finite, the unclipped band is y_hat -/+ multiplier*sep.
+    """
+    lower = np.clip(lower, 0.0, spec.m)
+    upper = np.clip(upper, 0.0, spec.m)
     C = point.y_hat.shape[0]
     return PredictionIntervalSet(
         method=method,
@@ -347,9 +352,8 @@ def scaled_interval_set(
     mult_lower,
     mult_upper,
     spec: FutureSpec,
-    clip: bool = True,
 ) -> PredictionIntervalSet:
     """Assemble y_hat -/+ multiplier*sep bounds, clipped to the count range [0, m]."""
     lower = point.y_hat - np.asarray(mult_lower, dtype=float) * point.sep
     upper = point.y_hat + np.asarray(mult_upper, dtype=float) * point.sep
-    return interval_set(method, point, spec, lower, upper, mult_lower, mult_upper, clip)
+    return interval_set(method, point, spec, lower, upper, mult_lower, mult_upper)

@@ -157,15 +157,24 @@ class TestAsymptoticIntervals:
         assert np.all(bf.lower <= mvn.lower + 1e-9)
 
     def test_widths_increase_with_dispersion(self):
-        spec = mp.FutureSpec(m=50)
-        lo = mp.pointwise_interval(make_fit([0.3, 0.3, 0.4], 1.5), spec, clip=False)
-        hi = mp.pointwise_interval(make_fit([0.3, 0.3, 0.4], 6.0), spec, clip=False)
+        spec = mp.FutureSpec(m=200)
+        lo = mp.pointwise_interval(make_fit([0.3, 0.3, 0.4], 1.5), spec)
+        hi = mp.pointwise_interval(make_fit([0.3, 0.3, 0.4], 6.0), spec)
+        # the clip binds in neither band, so the widths are 2 * q * sep
+        assert np.all(hi.lower > 0.0) and np.all(hi.upper < spec.m)
         assert np.all((hi.upper - hi.lower) > (lo.upper - lo.lower))
 
     def test_unclipped_width_identity(self, toy_fit):
+        # every lower bound is clipped at 0 here; the raw band is rebuilt
+        # from the written y_hat, sep and multiplier columns
         spec = mp.FutureSpec(m=40)
-        ivs = mp.pointwise_interval(toy_fit, spec, clip=False)
-        width = ivs.upper - ivs.lower
+        ivs = mp.pointwise_interval(toy_fit, spec)
+        raw_lower = ivs.y_hat - ivs.multiplier_lower * ivs.sep
+        raw_upper = ivs.y_hat + ivs.multiplier_upper * ivs.sep
+        assert np.all(raw_lower < 0.0)
+        np.testing.assert_array_equal(ivs.lower, np.maximum(raw_lower, 0.0))
+        np.testing.assert_array_equal(ivs.upper, np.minimum(raw_upper, spec.m))
+        width = raw_upper - raw_lower
         np.testing.assert_allclose(width, 2 * norm.ppf(0.975) * ivs.sep, rtol=1e-12)
 
     def test_clipped_to_future_size(self, toy_fit):

@@ -519,12 +519,12 @@ class TestBayesConstructions:
         rng = np.random.default_rng(20)
         y = rng.integers(0, 50, size=(200, 1))
         pred = crafted(y, m=49)
-        ivs = bayes_mean_centered_interval(pred, 0.05, clip=False)
+        ivs = bayes_mean_centered_interval(pred, 0.05)
         z = np.abs(y[:, 0] - y.mean()) / y.std(ddof=1)
         q = mp.nearest_rank_quantile(z, 0.95)
         assert ivs.multiplier_upper[0] == pytest.approx(q)
-        assert ivs.upper[0] == pytest.approx(y.mean() + q * y.std(ddof=1))
-        assert ivs.lower[0] == pytest.approx(y.mean() - q * y.std(ddof=1))
+        assert ivs.upper[0] == pytest.approx(min(y.mean() + q * y.std(ddof=1), 49))
+        assert ivs.lower[0] == pytest.approx(max(y.mean() - q * y.std(ddof=1), 0))
 
     def test_mean_centered_constant_category_collapses(self):
         rng = np.random.default_rng(21)
@@ -574,12 +574,11 @@ def reference_nearest_rank(values, p):
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def reference_predictive_set(label, pred, lower, upper, mult_lower, mult_upper, alpha, clip):
+def reference_predictive_set(label, pred, lower, upper, mult_lower, mult_upper, alpha):
     """The Bayes-only interval builder with its own clip."""
     C = pred.y_pred.shape[1]
-    if clip:
-        lower = np.clip(lower, 0.0, pred.m)
-        upper = np.clip(upper, 0.0, pred.m)
+    lower = np.clip(lower, 0.0, pred.m)
+    upper = np.clip(upper, 0.0, pred.m)
     return mp.PredictionIntervalSet(
         method=label,
         lower=lower,
@@ -592,7 +591,7 @@ def reference_predictive_set(label, pred, lower, upper, mult_lower, mult_upper, 
     )
 
 
-def reference_bayes_intervals(pred, alpha, clip):
+def reference_bayes_intervals(pred, alpha):
     """The three constructions with per-column loops and a second full sort."""
     y = pred.y_pred
     S, C = y.shape
@@ -600,7 +599,7 @@ def reference_bayes_intervals(pred, alpha, clip):
     lower = np.array([reference_nearest_rank(y[:, c], p_lo) for c in range(C)])
     upper = np.array([reference_nearest_rank(y[:, c], p_hi) for c in range(C)])
     out = {"bayes-bonf": reference_predictive_set(
-        "bayes-bonf", pred, lower, upper, math.nan, math.nan, alpha, clip
+        "bayes-bonf", pred, lower, upper, math.nan, math.nan, alpha
     )}
     mean, sd = pred.y_hat, pred.sd
     active = sd > 0.0
@@ -609,13 +608,13 @@ def reference_bayes_intervals(pred, alpha, clip):
         z = np.abs(y[:, active] - mean[active]) / sd[active]
         q = reference_nearest_rank(z.max(axis=1), 1.0 - alpha)
     out["bayes-mean"] = reference_predictive_set(
-        "bayes-mean", pred, mean - q * sd, mean + q * sd, q, q, alpha, clip
+        "bayes-mean", pred, mean - q * sd, mean + q * sd, q, q, alpha
     )
     tau = mp.rank_summary(y, alpha).tau_star
     y_sorted = np.sort(y, axis=0)
     out["bayes-scs"] = reference_predictive_set(
         "bayes-scs", pred, y_sorted[S - tau].astype(float), y_sorted[tau - 1].astype(float),
-        math.nan, math.nan, alpha, clip,
+        math.nan, math.nan, alpha,
     )
     return out
 
@@ -623,9 +622,8 @@ def reference_bayes_intervals(pred, alpha, clip):
 class TestBayesKernelsMatchReference:
     FIELDS = ("lower", "upper", "y_hat", "sep", "multiplier_lower", "multiplier_upper")
 
-    @pytest.mark.parametrize("clip", [True, False])
     @pytest.mark.parametrize("C", [1, 3, 10])
-    def test_bitwise_equal(self, C, clip):
+    def test_bitwise_equal(self, C):
         for seed in range(4):
             rng = np.random.default_rng(100 * C + seed)
             p = rng.dirichlet(np.ones(C))
@@ -634,13 +632,13 @@ class TestBayesKernelsMatchReference:
             m = int(rng.integers(3, 15))
             pred = crafted(rng.multinomial(m, p, size=int(rng.integers(50, 600))), m=m)
             alpha = (0.05, 0.1, 0.2, 0.5)[seed]
-            want = reference_bayes_intervals(pred, alpha, clip)
+            want = reference_bayes_intervals(pred, alpha)
             for fn in (
                 bayes_bonferroni_interval,
                 bayes_mean_centered_interval,
                 bayes_rank_scs_interval,
             ):
-                got = fn(pred, alpha, clip=clip)
+                got = fn(pred, alpha)
                 ref = want[got.method]
                 assert got.alpha == ref.alpha
                 for name in self.FIELDS:

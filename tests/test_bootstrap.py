@@ -12,7 +12,7 @@ from mnpred.bootstrap import (
     rank_multipliers,
     symmetric_multiplier,
 )
-from mnpred.dm import draw_dm_counts, repair_zero_columns, sample_dm_matrix
+from mnpred.dm import draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
 from mnpred.empirical import nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
 from mnpred.model import clamp_dispersion, pearson_dispersion
@@ -40,7 +40,7 @@ class TestBuildEnsemble:
         counts = sample_dm_matrix(
             histo_data.cluster_sizes, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
         )
-        counts = repair_zero_columns(counts, gen)
+        repair_zero_columns_in_place(counts, gen)
         for b in range(B):
             fit_b = mp.fit_model(mp.HistoricalDataset(counts[b]))
             point_b = mp.prediction_point(fit_b, spec)
@@ -81,7 +81,7 @@ class TestBuildEnsemble:
         counts = sample_dm_matrix(
             histo_data.cluster_sizes, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
         )
-        counts = repair_zero_columns(counts, gen)
+        repair_zero_columns_in_place(counts, gen)
         n_star = counts.sum(axis=2)
         N_star = n_star.sum(axis=1).astype(float)
         pi_star = counts.sum(axis=1) / N_star[:, None]
@@ -215,7 +215,11 @@ class TestMultipliers:
         q_lo, q_hi = marginal_multipliers(ens.z, spec.alpha)
         assert q_hi[0] == 0.0
         assert np.all(q_lo >= 0.0) and np.all(q_hi >= 0.0)
-        s = mp.marginal_calibration(ens, fit, spec, clip=False)
+        s = mp.marginal_calibration(ens, fit, spec)
+        point = mp.prediction_point(fit, spec)
+        np.testing.assert_array_equal(s.lower, np.maximum(point.y_hat - q_lo * point.sep, 0.0))
+        np.testing.assert_array_equal(s.upper, np.minimum(point.y_hat + q_hi * point.sep, spec.m))
+        assert s.upper[0] == s.y_hat[0]
         assert np.all(s.lower <= s.y_hat) and np.all(s.y_hat <= s.upper)
 
     def test_monotone_in_target(self):
@@ -310,8 +314,11 @@ class TestIntervalWrappers:
         np.testing.assert_allclose(s.multiplier_upper, q)
 
     def test_unclipped_interval_uses_sep_scaling(self, small_ensemble, histo_fit, spec):
-        s = mp.masr_interval(small_ensemble, histo_fit, spec, clip=False)
+        s = mp.masr_interval(small_ensemble, histo_fit, spec)
         point = mp.prediction_point(histo_fit, spec)
         q = masr_multiplier(small_ensemble.z, spec.alpha)
-        np.testing.assert_allclose(s.upper, point.y_hat + q * point.sep, rtol=1e-12)
-        np.testing.assert_allclose(s.lower, point.y_hat - q * point.sep, rtol=1e-12)
+        lower, upper = point.y_hat - q * point.sep, point.y_hat + q * point.sep
+        assert np.all(upper < spec.m)  # the clip does not bind the upper bounds
+        np.testing.assert_allclose(s.upper, upper, rtol=1e-12)
+        np.testing.assert_array_equal(s.upper, np.minimum(upper, spec.m))
+        np.testing.assert_array_equal(s.lower, np.maximum(lower, 0.0))

@@ -11,7 +11,6 @@ from mnpred.dm import (
     derive_eta0,
     draw_dm_counts,
     multinomial_in_place,
-    repair_zero_columns,
     repair_zero_columns_in_place,
     sample_dirichlet,
     sample_dm_matrix,
@@ -130,21 +129,21 @@ class TestDMMatrix:
 class TestRepair:
     def test_adds_single_count_to_zero_column(self):
         counts = np.array([[5, 0], [7, 0]])
-        fixed = repair_zero_columns(counts, mp.RngStream(17).generator())
+        fixed = repair_zero_columns_in_place(counts.copy(), mp.RngStream(17).generator())
         assert fixed[:, 1].sum() == 1
         assert fixed[:, 0].sum() == 12
         np.testing.assert_array_equal(fixed.sum(axis=1) - counts.sum(axis=1), fixed[:, 1])
 
     def test_leaves_complete_tables_alone(self):
         counts = np.array([[5, 1], [7, 2]])
-        fixed = repair_zero_columns(counts, mp.RngStream(18).generator())
+        fixed = repair_zero_columns_in_place(counts.copy(), mp.RngStream(18).generator())
         np.testing.assert_array_equal(fixed, counts)
 
     def test_batched_repair_is_per_replicate(self):
         counts = np.zeros((4, 3, 2), dtype=np.int64)
         counts[..., 0] = 5
         counts[2, 1, 1] = 1  # replicate 2 already has the category
-        fixed = repair_zero_columns(counts, mp.RngStream(19).generator())
+        fixed = repair_zero_columns_in_place(counts.copy(), mp.RngStream(19).generator())
         assert np.all(fixed[..., 1].sum(axis=1) >= 1)
         np.testing.assert_array_equal(fixed[2], counts[2])
 
@@ -152,7 +151,7 @@ class TestRepair:
     def test_in_place_kernel_mutates_and_returns_its_argument(self, shape):
         counts = np.zeros(shape, dtype=np.int64)
         counts[..., 0] = 5
-        want = repair_zero_columns(counts, mp.RngStream(17).generator())
+        want = repair_zero_columns_in_place(counts.copy(), mp.RngStream(17).generator())
         got = repair_zero_columns_in_place(counts, mp.RngStream(17).generator())
         assert got is counts
         assert counts.tobytes() == want.tobytes()

@@ -128,7 +128,6 @@ format = json
 out = results.json
 n_iter = 50
 scenarios = C3-01, C5
-full_scale = false
 repair = true
 mvn_draws = 20000
 pi = 0.3, 0.3, 0.4
@@ -349,6 +348,11 @@ class TestCliPredict:
         assert err.startswith("usage error:")
         assert "pointwise" in err  # lists the valid ids
 
+    def test_no_clip_flag_is_usage_error(self, cli_files, capsys):
+        _, counts, _ = cli_files
+        assert main(["predict", "--data", counts, "--m", "24", "--no-clip"]) == 2
+        assert "--no-clip" in capsys.readouterr().err
+
     def test_empty_method_list_emits_header_only(self, cli_files, capsys):
         _, counts, _ = cli_files
         rc = main(["predict", "--data", counts, "--m", "24", "--methods", ""])
@@ -534,6 +538,19 @@ class TestCliSimulate:
         assert rc == 3
         assert err["error"] == "ParseError"
         assert "line 5: unknown key 'clip'" in err["message"]
+
+    def test_full_scale_key_is_parse_error(self, tmp_path, capsys):
+        cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}full_scale = true\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 3
+        assert err["error"] == "ParseError"
+        assert "line 5: unknown key 'full_scale'" in err["message"]
+
+    def test_full_scale_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = put(tmp_path, "run.cfg", ONE_CELL)
+        assert main(["simulate", "--config", cfg, "--full-scale"]) == 2
+        assert "--full-scale" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["B = 0", "alpha = 2.0"])
     def test_bad_run_setting_is_validation_error(self, tmp_path, capsys, setting):

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from mnpred.errors import (
     ZeroProbability,
 )
 from mnpred.bootstrap import _REFIT_BLOCK
+from mnpred.methods import compute_intervals, resolve_methods
 from mnpred.model import pearson_dispersion
 
 
@@ -176,6 +180,17 @@ class TestClamp:
         with pytest.raises(ValidationError):
             mp.clamp_dispersion(2.0, 1)
 
+    def test_broadcasts_like_the_scalar_rule(self):
+        phi_raw = np.array([0.4, 3.19, 60.0, np.nan, np.inf, 1.0])
+        bounds = np.array([46, 46, 46, 46, 20, 2])
+        got = mp.clamp_dispersion(phi_raw, bounds)
+        assert isinstance(got, np.ndarray)
+        want = [mp.clamp_dispersion(float(p), int(b)) for p, b in zip(phi_raw, bounds)]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert type(mp.clamp_dispersion(3.19, 46)) is float
+        with pytest.raises(ValidationError):
+            mp.clamp_dispersion(phi_raw, np.array([46, 46, 46, 46, 20, 1]))
+
     @given(
         st.floats(-5.0, 500.0, allow_nan=False),
         st.integers(2, 1000),
@@ -230,3 +245,51 @@ class TestPrediction:
                 multiplier_upper=np.array([1.0]),
                 alpha=0.05,
             )
+
+
+class TestOneClip:
+    def test_clip_lives_only_in_interval_set(self):
+        """No function takes a clip switch, and only interval_set calls np.clip."""
+        params, clips = [], []
+        for path in sorted(Path(mp.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    if "clip" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                        params.append(f"{path.name}:{node.name}")
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "attr", getattr(func, "id", None)) == "clip":
+                        clips.append((path.name, node.lineno))
+        assert params == []
+        body, first = inspect.getsourcelines(mp.model.interval_set)
+        assert len(clips) == 2
+        assert all(name == "model.py" and first <= line < first + len(body) for name, line in clips)
+
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    def test_written_columns_carry_the_raw_band(self, histo_data):
+        """Every bound is in [0, m]; scaled bounds are the clipped y_hat -/+ q*sep."""
+        fit = mp.fit_model(histo_data)
+        spec = mp.FutureSpec(m=5)
+        sets = compute_intervals(
+            histo_data, fit, spec, resolve_methods(["all"]), mp.RngStream(8),
+            B=500, mvn_draws=2000, chains=2, sampling_iters=300, warmup=100,
+        )
+        assert len(sets) == 11
+        binds = False
+        for ivs in sets.values():
+            assert np.all(ivs.lower >= 0.0) and np.all(ivs.upper <= spec.m)
+            finite = np.isfinite(ivs.multiplier_lower)
+            assert np.array_equal(finite, np.isfinite(ivs.multiplier_upper))
+            if not finite.any():
+                # order statistics of counts: the clip leaves them as they are
+                assert np.all(ivs.lower == np.round(ivs.lower))
+                assert np.all(ivs.upper == np.round(ivs.upper))
+                continue
+            assert finite.all()
+            raw_lower = ivs.y_hat - ivs.multiplier_lower * ivs.sep
+            raw_upper = ivs.y_hat + ivs.multiplier_upper * ivs.sep
+            assert ivs.lower.tobytes() == np.maximum(raw_lower, 0.0).tobytes()
+            assert ivs.upper.tobytes() == np.minimum(raw_upper, spec.m).tobytes()
+            binds |= bool(np.any(raw_lower < 0.0) or np.any(raw_upper > spec.m))
+        assert binds

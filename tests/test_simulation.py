@@ -194,10 +194,6 @@ class TestCatalog:
         assert all(s.methods == FREQUENTIST_METHODS for s in cells)
         assert all(s.n_iter == 500 and s.B == 2000 and s.S == 4000 for s in cells)
 
-    def test_full_scale_settings(self):
-        cells = build_scenarios(RunConfig(full_scale=True, scenarios=("C3-01-K5-n50-phi5",)))
-        assert all(s.n_iter == 1000 and s.B == 10_000 and s.S == 10_000 for s in cells)
-
     def test_infeasible_dispersion_dropped(self):
         cells = scenario_catalog(clusters=(5,), sizes=(10, 50), dispersions=(12.0,))
         assert all(s.n == 50 for s in cells)
@@ -212,16 +208,14 @@ def reference_scenarios(cfg):
         for name in ("K", "n", "phi"):
             if getattr(cfg, name) is None:
                 raise ValidationError(f"custom scenario config needs {name}")
-        n_iter, B, S = (1000, 10_000, 10_000) if cfg.full_scale else (cfg.n_iter, cfg.B, cfg.S)
         return [
             Scenario(
                 pi_true=np.asarray(cfg.pi, dtype=float), K=cfg.K, n=cfg.n, phi=cfg.phi,
-                m=cfg.m, n_iter=n_iter, methods=cfg.methods, B=B, S=S, alpha=cfg.alpha,
-                seed=cfg.seed, repair=cfg.repair, chains=cfg.chains, warmup=cfg.warmup,
-                mvn_draws=cfg.mvn_draws, priors=cfg.priors,
+                m=cfg.m, n_iter=cfg.n_iter, methods=cfg.methods, B=cfg.B, S=cfg.S,
+                alpha=cfg.alpha, seed=cfg.seed, repair=cfg.repair, chains=cfg.chains,
+                warmup=cfg.warmup, mvn_draws=cfg.mvn_draws, priors=cfg.priors,
             )
         ]
-    n_iter, B, S = (1000, 10_000, 10_000) if cfg.full_scale else (cfg.n_iter, cfg.B, cfg.S)
     cells = []
     for vec_id, pi in catalog_vectors().items():
         for K in CLUSTER_GRID:
@@ -231,8 +225,8 @@ def reference_scenarios(cfg):
                         continue
                     cells.append(
                         Scenario(
-                            pi_true=pi, K=K, n=n, phi=phi, n_iter=n_iter,
-                            methods=cfg.methods, B=B, S=S, seed=cfg.seed + len(cells),
+                            pi_true=pi, K=K, n=n, phi=phi, n_iter=cfg.n_iter,
+                            methods=cfg.methods, B=cfg.B, S=cfg.S, seed=cfg.seed + len(cells),
                             scenario_id=f"{vec_id}-K{K}-n{n}-phi{phi:g}",
                         )
                     )
@@ -279,10 +273,9 @@ class TestBuildScenarios:
             RunConfig(scenarios=("C3-01-K5", "C10-0"), **NON_DEFAULT),
             RunConfig(**NON_DEFAULT),
             RunConfig(pi=(0.2, 0.3, 0.5), K=6, n=30, m=45, phi=3.0, **NON_DEFAULT),
-            RunConfig(scenarios=("C5",), full_scale=True, **NON_DEFAULT),
-            RunConfig(pi=(0.2, 0.8), K=6, n=30, phi=3.0, full_scale=True, **NON_DEFAULT),
+            RunConfig(pi=(0.2, 0.8), K=6, n=30, phi=3.0, **NON_DEFAULT),
         ],
-        ids=["catalog-filter", "whole-catalog", "custom-m-ne-n", "catalog-full", "custom-full"],
+        ids=["catalog-filter", "whole-catalog", "custom-m-ne-n", "custom-m-default"],
     )
     def test_matches_two_branch_reference(self, cfg):
         assert_same_scenarios(build_scenarios(cfg), reference_scenarios(cfg))
