@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from .dm import multinomial_in_place, sample_dirichlet
 from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
@@ -132,7 +131,7 @@ class PriorChoice:
         a, b = self.beta_a, self.beta_b
         # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.
         return (
-            -float(betaln(a, b))
+            -_betaln(a, b)
             - (a + 1.0) * np.log1p(x)
             + (b - 1.0) * (np.log(x) - np.log1p(x))
         )
@@ -175,22 +174,33 @@ class PredictiveSamples:
         return _frozen_array(self.y_pred.std(axis=0, ddof=1))
 
 
+def _betaln(a: float, b: float) -> float:
+    """log B(a, b) for positive a and b."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def dm_log_pmf(x, n: int, eta) -> float:
     """Log pmf of the Dirichlet-multinomial with concentration vector eta."""
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if np.any(eta <= 0.0):
         raise DomainError("concentration entries must be strictly positive")
     if x.shape != eta.shape:
         raise ValidationError("counts and concentrations must have equal length")
-    if np.any(x < 0) or int(x.sum()) != int(n):
+    if not float(n).is_integer() or not np.all(x == np.floor(x)):
+        raise ValidationError(f"counts and n={n} must be whole numbers")
+    if np.any(x < 0) or x.sum() != n:
         raise ValidationError(f"counts must be non-negative and sum to n={n}")
+    n = float(n)
     eta0 = float(eta.sum())
-    return float(
-        gammaln(n + 1.0)
-        + gammaln(eta0)
-        - gammaln(n + eta0)
-        + np.sum(gammaln(x + eta) - gammaln(x + 1.0) - gammaln(eta))
+    return (
+        math.lgamma(n + 1.0)
+        + math.lgamma(eta0)
+        - math.lgamma(n + eta0)
+        + sum(
+            math.lgamma(xc + ec) - math.lgamma(xc + 1.0) - math.lgamma(ec)
+            for xc, ec in zip(x.tolist(), eta.tolist())
+        )
     )
 
 
@@ -199,29 +209,37 @@ class _LogPosterior:
 
     theta = (additive log-ratios of pi against the last category,
     log eta0).  Includes the two change-of-variable Jacobians, so the
-    sampler targets the correct density in theta space.  Count-dependent
-    gamma terms are compressed to the distinct count values per column,
-    which makes an evaluation cheap even for K = 100.
+    sampler targets the correct density in theta space.  The likelihood
+    needs no gamma function: for a whole number x,
+    lgamma(x + e) - lgamma(e) = sum_{i < x} log(e + i), so summed over the
+    clusters each of the concentrations (eta0, eta_1, ..., eta_C) enters as
+    sum_i w_i log(eta + i), where w_i counts the clusters with more than i
+    units (of the cluster, for eta0; of category c, for eta_c).  ``__init__``
+    lays those terms out once as three flat arrays (offset i, which
+    concentration, weight w_i, negated for eta0), so an evaluation is one log
+    and one weighted row sum over about as many terms as the largest
+    cluster size and column maxima add up to.
     """
 
     def __init__(self, data: HistoricalDataset, prior: PriorChoice) -> None:
         counts = data.counts
-        self.K, self.C = counts.shape
+        K, self.C = counts.shape
         self.prior = prior
         sizes = data.cluster_sizes
-        self.size_vals, size_mult = np.unique(sizes, return_counts=True)
-        self.size_mult = size_mult.astype(float)
-        vals, cols, mult = [], [], []
-        for c in range(self.C):
-            u, k = np.unique(counts[:, c], return_counts=True)
-            vals.append(u)
-            cols.append(np.full(u.shape[0], c))
-            mult.append(k)
-        self.count_vals = np.concatenate(vals).astype(float)
-        self.count_cols = np.concatenate(cols)
-        self.count_mult = np.concatenate(mult).astype(float)
-        self.const = float(
-            np.sum(gammaln(sizes + 1.0)) - np.sum(gammaln(counts + 1.0))
+        offsets, index, weights = [], [], []
+        for j, (col, sign) in enumerate(
+            [(sizes, -1.0)] + [(counts[:, c], 1.0) for c in range(self.C)]
+        ):
+            # more[i] = number of clusters with more than i units, i < max.
+            more = K - np.cumsum(np.bincount(col))[:-1]
+            offsets.append(np.arange(more.shape[0], dtype=float))
+            index.append(np.full(more.shape[0], j))
+            weights.append(sign * more)
+        self.offsets = np.concatenate(offsets)
+        self.index = np.concatenate(index)
+        self.weights = np.concatenate(weights).astype(float)
+        self.const = sum(math.lgamma(s + 1.0) for s in sizes.tolist()) - sum(
+            math.lgamma(x + 1.0) for x in counts.ravel().tolist()
         )
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
@@ -237,25 +255,23 @@ class _LogPosterior:
         u = theta[:, self.C - 1]
         with np.errstate(all="ignore"):
             eta0 = np.exp(u)
-            eta = eta0[:, None] * np.exp(log_pi)
-            # Weighted row sums rather than matvecs: a sum along one C-order
+            ext = np.empty((theta.shape[0], self.C + 1))
+            ext[:, 0] = eta0
+            np.multiply(eta0[:, None], np.exp(log_pi), out=ext[:, 1:])
+            # A weighted row sum rather than a matvec: a sum along one C-order
             # row does not depend on the rows batched with it (``take``, unlike
-            # ``eta[:, cols]``, returns C order).
-            size_terms = gammaln(self.size_vals + eta0[:, None]) * self.size_mult
-            count_terms = gammaln(self.count_vals + eta.take(self.count_cols, axis=1))
-            ll = (
-                self.const
-                + self.K * gammaln(eta0)
-                - size_terms.sum(axis=1)
-                + (count_terms * self.count_mult).sum(axis=1)
-                - self.K * gammaln(eta).sum(axis=1)
-            )
-            # The prior goes unchecked: u < 700 keeps eta0 finite, and an
-            # eta_c of 0 (hence an eta0 of 0) makes -K * gammaln(eta_c) -inf,
-            # so ll, and with it lp, is -inf or nan on every row outside the
-            # support.
+            # ``ext[:, index]``, returns C order).
+            terms = ext.take(self.index, axis=1)
+            terms += self.offsets
+            np.log(terms, out=terms)
+            terms *= self.weights
+            ll = self.const + terms.sum(axis=1)
+            # The prior goes unchecked: u < 700 keeps eta0 finite and every
+            # eta_c > 0 keeps eta0 positive, so the rows it could get wrong
+            # are masked below.
             lp = ll + self.prior._log_density(eta0) + log_pi.sum(axis=1) + u
-        return np.where((u < 700.0) & np.isfinite(lp), lp, -np.inf)
+        ok = (u < 700.0) & (ext.min(axis=1) > 0.0) & np.isfinite(lp)
+        return np.where(ok, lp, -np.inf)
 
 
 def _log_softmax(free: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -7,6 +9,7 @@ from scipy.stats import norm
 import mnpred as mp
 from mnpred.asymptotic import prediction_covariance
 from mnpred.errors import NotPSD, ValidationError
+from mnpred.io import _fmt_cell
 
 
 def make_fit(pi, phi, K=10, n=50):
@@ -131,14 +134,18 @@ class TestAsymptoticIntervals:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
     @pytest.mark.parametrize("C", range(2, 11))
     def test_multipliers_equal_scipy_norm_ppf(self, alpha, C):
+        # The stdlib quantile is within a few ulp of the exact one (scipy is
+        # within about one), and the written cells equal scipy's.
         fit = make_fit(np.full(C, 1.0 / C), 2.0)
         spec = mp.FutureSpec(m=50, alpha=alpha)
         pw = mp.pointwise_interval(fit, spec)
         bf = mp.bonferroni_interval(fit, spec)
-        assert np.all(pw.multiplier_lower == norm.ppf(1.0 - alpha / 2.0))
-        assert np.all(pw.multiplier_upper == norm.ppf(1.0 - alpha / 2.0))
-        assert np.all(bf.multiplier_lower == norm.ppf(1.0 - alpha / (2.0 * C)))
-        assert np.all(bf.multiplier_upper == norm.ppf(1.0 - alpha / (2.0 * C)))
+        for ivs, p in ((pw, 1.0 - alpha / 2.0), (bf, 1.0 - alpha / (2.0 * C))):
+            with mpmath.workdps(60):
+                exact = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+            for q in (*ivs.multiplier_lower, *ivs.multiplier_upper):
+                assert abs(q - float(exact)) <= 4 * math.ulp(float(exact))
+                assert _fmt_cell(q) == _fmt_cell(norm.ppf(p))
 
     def test_bonferroni_multiplier_c5(self):
         fit = make_fit([0.2, 0.2, 0.2, 0.2, 0.2], 2.0)

@@ -39,6 +39,27 @@ def table(C, seed=0, K=12, n=40):
 PRIORS = [PriorChoice.half_cauchy(), PriorChoice.beta_icc()]
 
 
+def kernel_table(kind):
+    """Tables that stretch the log posterior's layout of terms."""
+    if kind == "wide":
+        # about 1500 terms per row
+        pi = np.linspace(1.0, 3.0, 10)
+        return mp.generate_dataset(100, 500, pi / pi.sum(), 8.0, mp.RngStream(710), repair=True)
+    if kind == "zero-column":
+        data = mp.generate_dataset(
+            10, 46, (0.224, 0.466, 0.273, 0.031, 0.004), 3.19, mp.RngStream(711).child(0)
+        )
+        assert data.counts[:, -1].sum() == 0
+        return data
+    assert kind == "unequal-sizes"
+    return mp.generate_dataset(
+        12, np.arange(5, 89, 7), (0.5, 0.3, 0.2), 2.5, mp.RngStream(712), repair=True
+    )
+
+
+KERNEL_TABLES = ("wide", "zero-column", "unequal-sizes")
+
+
 class TestDmLogPmf:
     def test_normalises_over_all_compositions(self):
         n, eta = 6, np.array([0.7, 1.3, 4.0])
@@ -76,6 +97,13 @@ class TestDmLogPmf:
         with pytest.raises(ValidationError):
             dm_log_pmf([-1, 3], 2, [1.0, 1.0])
 
+    def test_rejects_counts_or_n_that_are_not_whole(self):
+        # int() truncation used to let both through with a wrong value
+        for x, n in (([1.5, 0.6], 2), ([2, 0], 2.7), ([0.5, 1.5], 2.0)):
+            with pytest.raises(ValidationError, match="whole"):
+                dm_log_pmf(x, n, [1.0, 1.0])
+        assert dm_log_pmf([2.0, 0.0], 2.0, [1.0, 1.0]) == pytest.approx(math.log(1.0 / 3.0))
+
 
 def naive_log_posterior(theta, data, prior):
     """Direct cluster-by-cluster evaluation, no shared-term compression."""
@@ -93,18 +121,34 @@ def naive_log_posterior(theta, data, prior):
 
 
 class TestLogPosterior:
-    @pytest.mark.parametrize("prior", [PriorChoice.half_cauchy(), PriorChoice.beta_icc()])
-    def test_matches_naive_evaluation(self, histo_data, prior):
+    @pytest.mark.parametrize(
+        "prior, kind",
+        [
+            pytest.param(prior, kind, id=f"prior{i}" if kind is None else f"prior{i}-{kind}")
+            for kind in (None, *KERNEL_TABLES)
+            for i, prior in enumerate(PRIORS)
+        ],
+    )
+    def test_matches_naive_evaluation(self, histo_data, prior, kind):
+        data = histo_data if kind is None else kernel_table(kind)
+        C = data.n_categories
         rng = np.random.default_rng(3)
         for _ in range(10):
-            theta = np.append(rng.normal(0, 1.5, 4), rng.normal(1.5, 1.0))
-            got = log_posterior(theta, histo_data, prior)
-            want = naive_log_posterior(theta, histo_data, prior)
+            theta = np.append(rng.normal(0, 1.5, C - 1), rng.normal(1.5, 1.0))
+            got = log_posterior(theta, data, prior)
+            want = naive_log_posterior(theta, data, prior)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_minus_inf_outside_support(self, toy_data):
         theta = np.array([0.0, 0.0, 800.0])  # eta0 overflows to inf
         assert log_posterior(theta, toy_data, PriorChoice.half_cauchy()) == -math.inf
+
+    def test_underflowing_empty_category_is_outside_the_support(self):
+        # An empty column adds no log terms, so its eta_c = 0 is caught by
+        # the support check alone.
+        data = kernel_table("zero-column")
+        theta = np.array([800.0, 800.0, 800.0, 800.0, 1.0])  # only the last pi underflows
+        assert log_posterior(theta, data, PriorChoice.half_cauchy()) == -math.inf
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("prior", [PriorChoice.half_cauchy(), PriorChoice.beta_icc()])
@@ -125,15 +169,16 @@ class TestLogPosterior:
             want = naive_log_posterior(theta[i], histo_data, prior)
             assert got[i] == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("C", [3, 5, 10])
+    @pytest.mark.parametrize("C", [3, 5, 10, *KERNEL_TABLES])
     @pytest.mark.parametrize("prior", PRIORS)
     def test_row_score_independent_of_batch_size(self, C, prior):
         # With look-ahead a row is scored in batches of different sizes
         # (one per block length); its score must not depend on the batch.
-        data = table(C)
-        rng = np.random.default_rng(C)
+        data = table(C) if isinstance(C, int) else kernel_table(C)
+        dim = data.n_categories
+        rng = np.random.default_rng(dim)
         theta = np.column_stack(
-            [rng.normal(0.0, 1.5, (124, C - 1)), rng.normal(1.5, 1.0, 124)]
+            [rng.normal(0.0, 1.5, (124, dim - 1)), rng.normal(1.5, 1.0, 124)]
         )
         logp = _LogPosterior(data, prior)
         alone = np.array([logp(theta[i : i + 1])[0] for i in range(124)])
@@ -227,7 +272,24 @@ def draws(histo_data):
 def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
     """The chain-at-a-time sampler with a scalar, logsumexp-based log posterior
     that the lockstep sampler replaced; kept as its oracle."""
-    kernel = _LogPosterior(data, prior)  # only for the compressed count terms
+    # The gammaln form of the likelihood that the rising-factorial kernel
+    # replaced, with the count terms compressed to each column's distinct
+    # values.
+    counts = data.counts
+    K, C = counts.shape
+    sizes = data.cluster_sizes
+    size_vals, size_mult = np.unique(sizes, return_counts=True)
+    size_mult = size_mult.astype(float)
+    vals, cols, mult = [], [], []
+    for c in range(C):
+        u, k = np.unique(counts[:, c], return_counts=True)
+        vals.append(u)
+        cols.append(np.full(u.shape[0], c))
+        mult.append(k)
+    count_vals = np.concatenate(vals).astype(float)
+    count_cols = np.concatenate(cols)
+    count_mult = np.concatenate(mult).astype(float)
+    const = float(np.sum(gammaln(sizes + 1.0)) - np.sum(gammaln(counts + 1.0)))
 
     def log_prior(eta0):
         if prior.kind == "cauchy":
@@ -244,9 +306,9 @@ def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
         )
 
     def logp(theta):
-        logits = np.append(theta[: kernel.C - 1], 0.0)
+        logits = np.append(theta[: C - 1], 0.0)
         log_pi = logits - logsumexp(logits)
-        u = float(theta[kernel.C - 1])
+        u = float(theta[C - 1])
         eta0 = math.exp(u) if u < 700.0 else math.inf
         if not math.isfinite(eta0) or eta0 <= 0.0:
             return -math.inf
@@ -254,11 +316,11 @@ def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
         if np.any(eta <= 0.0):
             return -math.inf
         ll = (
-            kernel.const
-            + kernel.K * gammaln(eta0)
-            - float(kernel.size_mult @ gammaln(kernel.size_vals + eta0))
-            + float(kernel.count_mult @ gammaln(kernel.count_vals + eta[kernel.count_cols]))
-            - kernel.K * float(np.sum(gammaln(eta)))
+            const
+            + K * gammaln(eta0)
+            - float(size_mult @ gammaln(size_vals + eta0))
+            + float(count_mult @ gammaln(count_vals + eta[count_cols]))
+            - K * float(np.sum(gammaln(eta)))
         )
         lp = ll + log_prior(eta0) + float(log_pi.sum()) + u
         return lp if math.isfinite(lp) else -math.inf

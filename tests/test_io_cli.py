@@ -1,9 +1,11 @@
+import ast
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,17 +600,32 @@ class TestCliSimulate:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up on every CLI call
+def test_cli_import_leaves_scipy_unloaded():
+    # importing any of scipy costs about half of every CLI call's start-up
     src = os.path.dirname(os.path.dirname(mp.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, mnpred.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, mnpred.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    """scipy stays out of the program, not just out of the CLI's import graph."""
+    found = []
+    for path in sorted(Path(mp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):
