@@ -3,17 +3,18 @@
 Each cluster's probability vector is drawn from Dirichlet(eta0 * pi)
 around a global pi; integrating the cluster-level vectors out leaves
 the Dirichlet-multinomial likelihood, so the posterior lives on just
-(pi, eta0).  Sampling runs in unconstrained coordinates (additive
-log-ratio of pi plus log eta0) with an adaptive coordinate-wise
-random-walk Metropolis sampler.  The sampler pre-fetches: for each
-block of up to three coordinates it scores, in one batched call, every
-proposal that a sequential sweep could make (one per accept/reject
-history of the block's earlier coordinates, 2**k - 1 in all), then
-replays the accept tests in coordinate order, so the chains equal those
-of a one-coordinate-at-a-time sweep.  Prediction intervals come from the
-posterior predictive counts of a future cluster: Bonferroni-adjusted
-quantiles, a mean-centred max-deviation calibration, or the same
-rank-based simultaneous construction used by the parametric bootstrap.
+(pi, eta0).  It is sampled in unconstrained coordinates (additive
+log-ratios of pi plus u = log eta0) by sampling-importance-resampling
+(Rubin 1988): i.i.d. proposals from a grid over u (the one awkward
+direction, after INLA's grid over a hyperparameter; Rue, Martino &
+Chopin 2009) with Student-t log-ratios given u, both built from a Laplace
+fit at the posterior mode, are weighted by posterior over proposal
+density and resampled.  The weights' effective sample size and their
+Pareto k-hat (PSIS; Vehtari et al. 2024) report how well the proposal
+covered the posterior.  Prediction intervals come from the posterior
+predictive counts of a future cluster: Bonferroni-adjusted quantiles, a
+mean-centred max-deviation calibration, or the same rank-based
+simultaneous construction used by the parametric bootstrap.
 """
 
 from __future__ import annotations
@@ -61,16 +62,27 @@ __all__ = [
     "bayes_rank_scs_interval",
 ]
 
-# Split R-hat compares chains, so it needs at least two.
+# Split R-hat compares batches, so it needs at least two.
 MIN_CHAINS = 2
 _RHAT_WARN = 1.05
-_ADAPT_BATCH = 50
-_ACCEPT_BAND = (0.20, 0.45)
-# Coordinates per pre-fetched Metropolis block.  A block of k costs one
-# log-posterior call of chains * (2**k - 1) rows; past three, the doubling row
-# count outweighs the calls saved (at C=10, K=100, n=500 a block of five ran
-# slower than one coordinate at a time).
-_BLOCK = 3
+# Above this Pareto k-hat the importance weights' tail is too heavy for their
+# self-normalised estimates to be trusted (Vehtari et al. 2024).
+_KHAT_WARN = 0.7
+# The proposal for u: equal cells over [mode + lo * sd, mode + hi * sd].  The
+# span is lopsided because the posterior in u has a steep left wall and, for
+# near-multinomial data, an exponential right tail.
+_GRID_CELLS = 400
+_GRID_SPAN = (-8.0, 25.0)
+# Degrees of freedom of the Student-t proposal for the log-ratios given u.
+_T_DF = 7.0
+# Proposals scored per log-posterior call, which bounds the kernel's
+# (rows, terms) temporary.
+_SCORE_BLOCK = 1024
+# Newton search for the mode: central-difference step, iteration cap, and the
+# Newton decrement g . step below which the mode counts as found.
+_FD_STEP = 1e-3
+_NEWTON_ITERS = 100
+_NEWTON_TOL = 1e-9
 # Above this u = eta0 / scale, the cauchy prior takes log1p(u**2) as 2 log u,
 # which it equals to double precision; u**2 overflows past about 1.3e154.
 _SQUARE_SAFE = 1e150
@@ -139,13 +151,13 @@ class PriorChoice:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Pooled MCMC draws with convergence diagnostics."""
+    """Pooled posterior draws with their importance-sampling diagnostics."""
 
     pi_global: np.ndarray      # (S, C)
     eta0: np.ndarray           # (S,)
-    rhat: np.ndarray           # split R-hat per pi component plus log eta0
-    accept_rates: np.ndarray   # (chains, C) post-warmup acceptance per coordinate
-    chains: int
+    rhat: np.ndarray           # split R-hat across batches, per pi component plus log eta0
+    ess: np.ndarray            # (batches,) effective sample size of each batch's weights
+    khat: np.ndarray           # (batches,) Pareto k-hat of each batch's weights
 
     @property
     def n_draws(self) -> int:
@@ -155,6 +167,15 @@ class PosteriorDraws:
     def rho(self) -> np.ndarray:
         """Implied intra-cluster correlation 1/(1+eta0) per draw."""
         return 1.0 / (1.0 + self.eta0)
+
+    @property
+    def accept_rates(self) -> np.ndarray:
+        """ESS per proposal of each batch.
+
+        Kept, read-only, for the benchmark's traced runs, which read the
+        acceptance rates of the Metropolis sampler this one replaced.
+        """
+        return self.ess / (self.n_draws // self.ess.shape[0])
 
 
 @dataclass(frozen=True)
@@ -183,8 +204,8 @@ def dm_log_pmf(x, n: int, eta) -> float:
     """Log pmf of the Dirichlet-multinomial with concentration vector eta."""
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0.0):
-        raise DomainError("concentration entries must be strictly positive")
+    if not np.all(np.isfinite(eta) & (eta > 0.0)):
+        raise DomainError("concentration entries must be positive finite numbers")
     if x.shape != eta.shape:
         raise ValidationError("counts and concentrations must have equal length")
     if not float(n).is_integer() or not np.all(x == np.floor(x)):
@@ -288,7 +309,7 @@ def log_posterior(theta, data: HistoricalDataset, prior: PriorChoice) -> float:
 
 
 def _split_rhat(per_chain: np.ndarray) -> float:
-    """Split R-hat of one scalar parameter from (chains, draws) values."""
+    """Split R-hat of one scalar parameter from (batches, draws) values."""
     M, N = per_chain.shape
     half = N // 2
     if half < 2:
@@ -314,25 +335,152 @@ def _initial_theta(data: HistoricalDataset) -> np.ndarray:
     return np.append(np.log(pooled[:-1] / pooled[-1]), math.log(eta0))
 
 
-def _replay(lp_prop: np.ndarray, lp_cur: list, log_u: list) -> list:
-    """Replay one pre-fetched block's Metropolis tests in coordinate order.
+def _laplace(logp: _LogPosterior, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mode and the inverse negative Hessian there, by damped Newton steps.
 
-    ``lp_prop[j, (1 << i) - 1 + h]`` scores chain j's proposal for the
-    block's coordinate i after accept history h (bit b set when the
-    block's coordinate b was accepted), and ``log_u[j][i]`` is that test's
-    log uniform.  Runs on plain floats; updates ``lp_cur`` in place and
-    returns each chain's final history.
+    Each iteration scores, in one batched call, the point and its
+    central-difference stencil (1 + d + d**2 rows in d coordinates), which
+    give the gradient and the Hessian; a second call scores the Newton step
+    halved 0 to 29 times, and the longest that does not lower the density is
+    taken.  Where the curvature is not negative the step uses its magnitude,
+    so every step climbs.  Uses no randomness.  Raises InitializationError
+    when the stencil leaves the support or no mode is reached.
     """
-    history = []
-    for j, (row, row_u) in enumerate(zip(lp_prop.tolist(), log_u)):
-        cur, h = lp_cur[j], 0
-        for i, lu in enumerate(row_u):
-            lp = row[(1 << i) - 1 + h]
-            if lu < lp - cur:
-                cur, h = lp, h | (1 << i)
-        lp_cur[j] = cur
-        history.append(h)
-    return history
+    d = theta.shape[0]
+    h = _FD_STEP
+    axes = np.eye(d) * h
+    i, j = np.triu_indices(d, 1)
+    pairs = axes[i] + axes[j]
+    stencil = np.concatenate([np.zeros((1, d)), axes, -axes, pairs, -pairs])
+    halvings = 0.5 ** np.arange(30)[:, None]
+    for _ in range(_NEWTON_ITERS):
+        f = logp(theta + stencil)
+        if not np.all(np.isfinite(f)):
+            break
+        f0, up, down = f[0], f[1 : d + 1], f[d + 1 : 2 * d + 1]
+        both_up, both_down = np.split(f[2 * d + 1 :], 2)
+        grad = (up - down) / (2.0 * h)
+        neg_hess = np.empty((d, d))
+        neg_hess[np.diag_indices(d)] = (2.0 * f0 - up - down) / h**2
+        neg_hess[i, j] = neg_hess[j, i] = (
+            up[i] + up[j] + down[i] + down[j] - 2.0 * f0 - both_up - both_down
+        ) / (2.0 * h**2)
+        curv, vecs = np.linalg.eigh(neg_hess)
+        concave = bool(curv.min() > 0.0)
+        step = vecs @ ((vecs.T @ grad) / np.maximum(np.abs(curv), 1e-8 * np.abs(curv).max()))
+        if concave and grad @ step < _NEWTON_TOL:
+            return theta, (vecs / curv) @ vecs.T
+        trial = logp(theta + halvings * step)
+        climbs = np.flatnonzero(trial >= f0)
+        if climbs.shape[0]:
+            theta = theta + halvings[climbs[0]] * step
+        elif concave:
+            # No step gains within rounding: the mode is as found as it can be.
+            return theta, (vecs / curv) @ vecs.T
+        else:
+            break
+    raise InitializationError(
+        "the Newton search from the moment-based start found no finite posterior mode"
+    )
+
+
+def _pick(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Indices drawn with probability proportional to non-negative weights,
+    by inverting their cumulative sum at the given uniforms."""
+    cdf = np.cumsum(weights)
+    # uniform * total can round up to the total; that draw takes the last
+    # index of positive weight.
+    last = np.flatnonzero(weights)[-1]
+    return np.minimum(np.searchsorted(cdf, uniforms * cdf[-1], side="right"), last)
+
+
+class _GridProposal:
+    """Importance proposal over theta built from a Laplace fit (mode, cov).
+
+    u = log eta0 comes from a piecewise-constant density on equal grid
+    cells over [mode - 8 sd, mode + 25 sd], proportional to the posterior at
+    each cell's centre on the line where the log-ratios sit at their linear
+    conditional mean given u.  Given u, the log-ratios are multivariate t
+    around that mean, with the conditional (Schur complement) covariance as
+    scale matrix.  ``draw`` returns proposals with their exact log density.
+    """
+
+    def __init__(self, logp: _LogPosterior, mode: np.ndarray, cov: np.ndarray) -> None:
+        p = mode.shape[0] - 1
+        self.mode = mode
+        self.slope = cov[:p, p] / cov[p, p]
+        self.scale = np.linalg.cholesky(cov[:p, :p] - np.outer(self.slope, cov[p, :p]))
+        self.edges = mode[p] + math.sqrt(cov[p, p]) * np.linspace(*_GRID_SPAN, _GRID_CELLS + 1)
+        self.width = float(self.edges[1] - self.edges[0])
+        log_mass = logp(self._line(self.edges[:-1] + 0.5 * self.width))
+        if not np.isfinite(log_mass).any():
+            raise InitializationError("no grid cell over log eta0 has finite posterior density")
+        self.mass = np.exp(log_mass - log_mass.max())
+        self.mass /= self.mass.sum()
+        with np.errstate(divide="ignore"):
+            self.log_density = np.log(self.mass) - math.log(self.width)
+        nu = _T_DF
+        self.log_t_norm = (
+            math.lgamma(0.5 * (nu + p))
+            - math.lgamma(0.5 * nu)
+            - 0.5 * p * math.log(nu * math.pi)
+            - float(np.log(np.diag(self.scale)).sum())
+        )
+
+    def _line(self, u: np.ndarray) -> np.ndarray:
+        """Thetas at the given u with the log-ratios at their conditional mean."""
+        theta = np.empty((u.shape[0], self.mode.shape[0]))
+        theta[:, -1] = u
+        shift = u - self.mode[-1]
+        for a, slope in enumerate(self.slope.tolist()):
+            theta[:, a] = self.mode[a] + slope * shift
+        return theta
+
+    def draw(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n proposals, shape (n, dim), and their log proposal densities."""
+        cell = _pick(self.mass, gen.random(n))
+        theta = self._line(self.edges[cell] + self.width * gen.random(n))
+        p = theta.shape[1] - 1
+        t = gen.standard_normal((n, p))
+        t /= np.sqrt(gen.chisquare(_T_DF, n) / _T_DF)[:, None]
+        # Multiply-adds rather than a matmul, whose sums a threaded BLAS may
+        # split differently from run to run.
+        for a in range(p):
+            for b in range(a + 1):
+                theta[:, a] += self.scale[a, b] * t[:, b]
+        log_t = -0.5 * (_T_DF + p) * np.log1p((t * t).sum(axis=1) / _T_DF)
+        return theta, self.log_density[cell] + self.log_t_norm + log_t
+
+
+def _pareto_khat(log_w: np.ndarray) -> float:
+    """Pareto k-hat of importance weights given as logs (PSIS; Vehtari et al. 2024).
+
+    A generalized Pareto distribution is fitted to the excesses of the
+    largest min(S/5, 3 sqrt(S)) weights over the next one, by the
+    empirical-Bayes estimate of Zhang & Stephens (2009), and its shape is
+    shrunk toward 0.5 by ten pseudo-observations as PSIS does.  Infinite
+    when no more than four weights exceed that threshold.
+    """
+    x = log_w - log_w.max()
+    S = x.shape[0]
+    tail = math.ceil(min(0.2 * S, 3.0 * math.sqrt(S)))
+    # Nearest-rank levels half a rank below k pick the k-th smallest value
+    # whatever the rounding of k / S.
+    cutoff = max(nearest_rank_quantile(x, (S - tail - 0.5) / S), math.log(np.finfo(float).tiny))
+    excess = np.exp(x[x > cutoff]) - math.exp(cutoff)
+    n = excess.shape[0]
+    if n <= 4:
+        return math.inf
+    m = 30 + int(math.sqrt(n))
+    b = 1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))
+    b /= 3.0 * nearest_rank_quantile(excess, (int(n / 4 + 0.5) - 0.5) / n)
+    b += 1.0 / excess.max()
+    k = np.log1p(-b[:, None] * excess).mean(axis=1)
+    log_lik = n * (np.log(-b / k) - k - 1.0)
+    weight = np.exp(log_lik - log_lik.max())
+    b_post = float((b * weight).sum() / weight.sum())
+    k_post = float(np.log1p(-b_post * excess).mean())
+    return (n * k_post + 10 * 0.5) / (n + 10)
 
 
 def mcmc_sample(
@@ -343,112 +491,62 @@ def mcmc_sample(
     sampling_iters: int = PREDICT_DEFAULTS.sampling_iters,
     warmup: int = PREDICT_DEFAULTS.warmup,
 ) -> PosteriorDraws:
-    """Adaptive coordinate-wise random-walk Metropolis over (pi, eta0).
+    """Posterior draws of (pi, eta0) by grid-guided sampling-importance-resampling.
 
-    Chain j draws from its own substream ``rng.child(j)``: a 0.1-scale
-    jitter of the moment-based start, then per coordinate update one
-    normal proposal step and one uniform for the accept test.  Each sweep
-    first draws every chain's steps and uniforms, in that per-generator
-    order, then pre-fetches: the coordinates go in blocks of up to three,
-    and one batched log-posterior call scores, for every chain at once,
-    all 2**k - 1 proposals that a sequential sweep of a k-coordinate block
-    could make, one per accept/reject history of the block's earlier
-    coordinates.  The accept tests are then replayed in coordinate order,
-    so the chains are exactly those of a one-coordinate-at-a-time sweep.
-    Proposal scales adapt in batches of 50 warmup iterations toward an
-    acceptance rate in [0.20, 0.45] and are frozen afterwards, so the
-    sampling phase targets the exact posterior.  Draws from all chains are
-    pooled in chain order; a split R-hat above 1.05 for any component
-    triggers a ConvergenceWarning.
+    The proposal is built once per call, with no randomness: a damped
+    Newton search from the moment-based start finds the posterior mode and
+    the curvature there, and a grid over u = log eta0 with Student-t
+    log-ratios given u is laid over them (``_GridProposal``).  Each of the
+    ``chains`` batches then draws from its own substream ``rng.child(j)``:
+    ``sampling_iters`` i.i.d. proposals, weighted by posterior over proposal
+    density, and as many draws resampled from them with probability
+    proportional to weight.  Batches are pooled in order.  The split R-hat
+    across batches measures their importance-sampling error; a
+    ConvergenceWarning is raised when it exceeds 1.05 for any component or
+    a batch's Pareto k-hat exceeds 0.7.
+
+    ``warmup`` is validated but has no effect, since i.i.d. proposals need
+    no burn-in.  It and this function's name are kept for callers written
+    for the Metropolis sampler this one replaced.
     """
     require_stream(rng, "mcmc_sample")
     if chains < MIN_CHAINS:
-        raise ValidationError(f"need at least {MIN_CHAINS} chains for the split R-hat diagnostic")
+        raise ValidationError(f"need at least {MIN_CHAINS} batches for the split R-hat diagnostic")
     if sampling_iters < 4 or warmup < 0:
         raise ValidationError("nonsensical iteration counts")
     logp = _LogPosterior(data, prior)
     dim = data.n_categories
-    base = _initial_theta(data)
-    gens = [rng.child(j).generator() for j in range(chains)]
+    proposal = _GridProposal(logp, *_laplace(logp, _initial_theta(data)))
 
-    # Columns [0, dim) hold each chain's theta, [dim, 2 dim) the sweep's
-    # proposed values theta_d + scales_d * z_d.
-    state = np.empty((chains, 2 * dim))
-    theta = state[:, :dim]
-    lp_cur = [0.0] * chains
-    for j, gen in enumerate(gens):
-        for _ in range(100):
-            cand = base + 0.1 * gen.standard_normal(dim)
-            lp_cand = float(logp(cand[None, :])[0])
-            if math.isfinite(lp_cand):
-                theta[j], lp_cur[j] = cand, lp_cand
-                break
-        else:
-            raise InitializationError(
-                "no finite posterior density near the moment-based start after 100 jitters"
-            )
-
-    scales = np.full((chains, dim), 0.5)
-    step_z = np.empty((chains, dim))
-    # Row h: which of a block's coordinates accept history h has moved
-    # (bit b = the block's coordinate b).
-    bits = ((np.arange(1 << _BLOCK)[:, None] >> np.arange(_BLOCK)) & 1).astype(bool)
-    blocks = []
-    for lo in range(0, dim, _BLOCK):
-        hi = min(lo + _BLOCK, dim)
-        k = hi - lo
-        # Proposal r of the block is the state after history r + 1: its
-        # highest moved coordinate is the one under test, the others were
-        # accepted.  ``cols[r]`` picks that proposal's columns of ``state``.
-        cols = np.tile(np.arange(dim), ((1 << k) - 1, 1))
-        cols[:, lo:hi] += np.where(bits[1 : 1 << k, :k], dim, 0)
-        blocks.append((lo, hi, cols))
-
-    def sweep(accepted: np.ndarray) -> None:
-        """One update of every coordinate in every chain, counted in ``accepted``."""
-        log_u = []
-        for j, gen in enumerate(gens):
-            normal, uniform = gen.standard_normal, gen.random
-            row_u = []
-            for d in range(dim):
-                step_z[j, d] = normal()
-                row_u.append(math.log(uniform()))
-            log_u.append(row_u)
-        state[:, dim:] = theta + scales * step_z
-        for lo, hi, cols in blocks:
-            lp_prop = logp(state[:, cols].reshape(-1, dim)).reshape(chains, -1)
-            history = _replay(lp_prop, lp_cur, [row_u[lo:hi] for row_u in log_u])
-            take = bits[history, : hi - lo]
-            theta[:, lo:hi] = np.where(take, state[:, dim + lo : dim + hi], theta[:, lo:hi])
-            accepted[:, lo:hi] += take
-
-    batch_acc = np.zeros((chains, dim))
-    for it in range(warmup):
-        sweep(batch_acc)
-        if (it + 1) % _ADAPT_BATCH == 0:
-            rate = batch_acc / _ADAPT_BATCH
-            step = min(0.25, ((it + 1) // _ADAPT_BATCH) ** -0.5)
-            scales[rate > _ACCEPT_BAND[1]] *= math.exp(step)
-            scales[rate < _ACCEPT_BAND[0]] *= math.exp(-step)
-            batch_acc[:] = 0.0
-    accept = np.zeros((chains, dim))
     theta_store = np.empty((chains, sampling_iters, dim))
-    for it in range(sampling_iters):
-        sweep(accept)
-        theta_store[:, it] = theta
+    ess = np.empty(chains)
+    khat = np.empty(chains)
+    for j in range(chains):
+        gen = rng.child(j).generator()
+        theta, log_q = proposal.draw(gen, sampling_iters)
+        log_w = np.concatenate(
+            [logp(theta[i : i + _SCORE_BLOCK]) for i in range(0, sampling_iters, _SCORE_BLOCK)]
+        )
+        log_w -= log_q
+        if not np.isfinite(log_w).any():
+            raise InitializationError(f"no proposal of batch {j} has finite posterior density")
+        w = np.exp(log_w - log_w.max())
+        ess[j] = w.sum() ** 2 / (w * w).sum()
+        khat[j] = _pareto_khat(log_w)
+        theta_store[j] = theta[_pick(w, gen.random(sampling_iters))]
     pi_store = np.exp(_log_softmax(theta_store[:, :, : dim - 1]))
     eta_store = np.exp(theta_store[:, :, dim - 1])
 
-    accept /= sampling_iters
     rhat = np.array(
         [_split_rhat(pi_store[:, :, c]) for c in range(dim)]
-        + [_split_rhat(np.log(eta_store))]
+        + [_split_rhat(theta_store[:, :, dim - 1])]
     )
-    worst = np.nanmax(rhat)
-    if worst > _RHAT_WARN:
+    worst_rhat, worst_khat = float(np.nanmax(rhat)), float(khat.max())
+    if worst_rhat > _RHAT_WARN or worst_khat > _KHAT_WARN:
         warnings.warn(
-            f"split R-hat reached {worst:.3f} (> {_RHAT_WARN}); chains may not have "
-            "mixed -- consider more iterations",
+            f"split R-hat {worst_rhat:.3f} (warns above {_RHAT_WARN}), Pareto k-hat "
+            f"{worst_khat:.2f} (warns above {_KHAT_WARN}): the importance proposal may "
+            "not cover the posterior -- consider more draws",
             ConvergenceWarning,
             stacklevel=2,
         )
@@ -456,8 +554,8 @@ def mcmc_sample(
         pi_global=pi_store.reshape(chains * sampling_iters, dim),
         eta0=eta_store.reshape(chains * sampling_iters),
         rhat=rhat,
-        accept_rates=accept,
-        chains=chains,
+        ess=ess,
+        khat=khat,
     )
 
 

@@ -112,19 +112,22 @@ def build_ensemble(
     counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=B)
     repair_zero_columns_in_place(counts, gen)
 
-    # Vectorised refit, replicating fit_model row for row.
-    n_star = counts.sum(axis=2)                          # (B, K)
-    totals = counts.sum(axis=1)                          # (B, C)
-    N_star = n_star.sum(axis=1).astype(float)            # (B,)
-    pi_star = totals / N_star[:, None]
+    # Vectorised refit, replicating fit_model row for row, one block of
+    # replicates at a time, so no whole-table (B, K) or (B, C) sums are held.
+    N_star = np.empty(B)
+    pi_star = np.empty((B, counts.shape[2]))
+    phi_raw = np.empty(B)
+    n_min = np.empty(B, dtype=counts.dtype)
     block = max(1, min(_REFIT_BLOCK, _REFIT_CELLS // counts[0].size))
-    phi_raw = np.concatenate(
-        [
-            pearson_dispersion(counts[i : i + block], pi_star[i : i + block])[2]
-            for i in range(0, B, block)
-        ]
-    )
-    phi_star = clamp_dispersion(phi_raw, n_star.min(axis=1))
+    for i in range(0, B, block):
+        rows = slice(i, i + block)
+        chunk = counts[rows]
+        n_star = chunk.sum(axis=2)                       # (block, K)
+        N_star[rows] = n_star.sum(axis=1)
+        pi_star[rows] = chunk.sum(axis=1) / N_star[rows, None]
+        phi_raw[rows] = pearson_dispersion(chunk, pi_star[rows])[2]
+        n_min[rows] = n_star.min(axis=1)
+    phi_star = clamp_dispersion(phi_raw, n_min)
 
     y_hat_star = m * pi_star
     sep_star = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])

@@ -61,11 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="all", help="comma list of method ids, or 'all'")
     run = PREDICT_DEFAULTS
     p.add_argument("--B", type=int, default=run.B, help="bootstrap replicates")
-    p.add_argument("--chains", type=int, default=run.chains)
     p.add_argument(
-        "--sampling", type=int, default=run.sampling_iters, help="posterior draws per chain"
+        "--chains", type=int, default=run.chains, help="posterior batches (at least 2)"
     )
-    p.add_argument("--warmup", type=int, default=run.warmup)
+    p.add_argument(
+        "--sampling", type=int, default=run.sampling_iters, help="posterior draws per batch"
+    )
+    p.add_argument(
+        "--warmup", type=int, default=run.warmup, help="accepted for old scripts; has no effect"
+    )
     p.add_argument("--prior", default="cauchy", help="comma list from {cauchy, beta}")
     p.add_argument("--mvn-draws", type=int, default=run.mvn_draws)
     p.add_argument("--seed", type=int, default=0)

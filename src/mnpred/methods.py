@@ -2,7 +2,7 @@
 
 Computing several methods for one dataset shares the expensive pieces:
 all five bootstrap-based methods read a single replicate ensemble, and
-the three Bayesian constructions per prior read a single MCMC run.
+the three Bayesian constructions per prior read a single posterior sample.
 Random substreams are assigned by fixed child indices, so adding or
 removing methods never changes the result of the ones that remain.
 """

@@ -144,6 +144,8 @@ class PredictSettings:
     ``PREDICT_DEFAULTS`` is the one place their defaults are written: the
     CLI, ``compute_intervals``, ``mcmc_sample`` and the MVN quantile read
     them from it.  ``simulate`` keeps its own set on ``Scenario``.
+    ``chains`` counts the posterior sampler's batches and ``sampling_iters``
+    its draws per batch; ``warmup`` has no effect.
     """
 
     B: int = 10_000

@@ -88,7 +88,7 @@ class Scenario:
 
     @property
     def sampling_iters(self) -> int:
-        """Posterior draws per chain: S split across the chains, at least 4."""
+        """Posterior draws per batch: S split across the batches, at least 4."""
         return max(self.S // self.chains, 4)
 
     @property

@@ -9,14 +9,13 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import halfcauchy, multinomial
 
 import mnpred as mp
+import mnpred.bayes
 from mnpred.bayes import (
-    PosteriorDraws,
     PredictiveSamples,
     PriorChoice,
     _initial_theta,
     _LogPosterior,
-    _replay,
-    _split_rhat,
+    _pareto_khat,
     bayes_bonferroni_interval,
     bayes_mean_centered_interval,
     bayes_rank_scs_interval,
@@ -88,6 +87,12 @@ class TestDmLogPmf:
     def test_rejects_nonpositive_concentration(self):
         with pytest.raises(DomainError):
             dm_log_pmf([1, 1], 2, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_concentration(self, bad):
+        # nan fails every comparison, so a check on `eta <= 0` alone lets it through.
+        with pytest.raises(DomainError):
+            dm_log_pmf([1, 1], 2, [bad, 1.0])
 
     def test_rejects_mismatched_or_bad_counts(self):
         with pytest.raises(ValidationError):
@@ -172,8 +177,8 @@ class TestLogPosterior:
     @pytest.mark.parametrize("C", [3, 5, 10, *KERNEL_TABLES])
     @pytest.mark.parametrize("prior", PRIORS)
     def test_row_score_independent_of_batch_size(self, C, prior):
-        # With look-ahead a row is scored in batches of different sizes
-        # (one per block length); its score must not depend on the batch.
+        # Proposals, grid cells and Newton stencils are scored in batches of
+        # different sizes; a row's score must not depend on the batch.
         data = table(C) if isinstance(C, int) else kernel_table(C)
         dim = data.n_categories
         rng = np.random.default_rng(dim)
@@ -255,8 +260,14 @@ class TestPriors:
 
 
 @pytest.fixture(scope="module")
+def recovery_data():
+    """Criterion 8's table: K=20 clusters of 50 at dispersion 5 around (0.3, 0.35, 0.35)."""
+    return mp.generate_dataset(20, 50, np.array([0.3, 0.35, 0.35]), 5.0, mp.RngStream(808).child(0))
+
+
+@pytest.fixture(scope="module")
 def draws(histo_data):
-    # short on purpose; mixing quality is irrelevant to the structural checks
+    # short on purpose; the structural checks need few draws
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         return mcmc_sample(
@@ -270,8 +281,11 @@ def draws(histo_data):
 
 
 def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
-    """The chain-at-a-time sampler with a scalar, logsumexp-based log posterior
-    that the lockstep sampler replaced; kept as its oracle."""
+    """The chain-at-a-time adaptive coordinate-wise random-walk Metropolis
+    sampler, with a scalar gammaln-based log posterior, that the
+    importance-resampling sampler replaced; kept as its oracle.  Returns
+    pi and log eta0 per chain, shapes (chains, sampling_iters, C) and
+    (chains, sampling_iters)."""
     # The gammaln form of the likelihood that the rising-factorial kernel
     # replaced, with the count terms compressed to each column's distinct
     # values.
@@ -305,9 +319,13 @@ def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
             + (b - 1.0) * (math.log(eta0) - math.log1p(eta0))
         )
 
+    def log_softmax(free):
+        logits = np.append(free, 0.0)
+        top = logits.max()
+        return logits - (top + math.log(np.exp(logits - top).sum()))
+
     def logp(theta):
-        logits = np.append(theta[: C - 1], 0.0)
-        log_pi = logits - logsumexp(logits)
+        log_pi = log_softmax(theta[: C - 1])
         u = float(theta[C - 1])
         eta0 = math.exp(u) if u < 700.0 else math.inf
         if not math.isfinite(eta0) or eta0 <= 0.0:
@@ -328,8 +346,7 @@ def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
     dim = data.n_categories
     base = _initial_theta(data)
     pi_store = np.empty((chains, sampling_iters, dim))
-    eta_store = np.empty((chains, sampling_iters))
-    accept = np.zeros((chains, dim))
+    u_store = np.empty((chains, sampling_iters))
     for j in range(chains):
         gen = rng.child(j).generator()
         for _ in range(100):
@@ -348,8 +365,6 @@ def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
                     theta, lp_cur = prop, lp_prop
                     if it < warmup:
                         batch_acc[d] += 1.0
-                    else:
-                        accept[j, d] += 1.0
             if it < warmup and (it + 1) % 50 == 0:
                 rate = batch_acc / 50
                 step = min(0.25, ((it + 1) // 50) ** -0.5)
@@ -357,20 +372,17 @@ def reference_mcmc(data, prior, rng, chains, sampling_iters, warmup):
                 scales[rate < 0.20] *= math.exp(-step)
                 batch_acc[:] = 0.0
             if it >= warmup:
-                logits = np.append(theta[: dim - 1], 0.0)
-                pi_store[j, it - warmup] = np.exp(logits - logsumexp(logits))
-                eta_store[j, it - warmup] = math.exp(theta[dim - 1])
-    rhat = np.array(
-        [_split_rhat(pi_store[:, :, c]) for c in range(dim)]
-        + [_split_rhat(np.log(eta_store))]
-    )
-    return PosteriorDraws(
-        pi_global=pi_store.reshape(chains * sampling_iters, dim),
-        eta0=eta_store.reshape(chains * sampling_iters),
-        rhat=rhat,
-        accept_rates=accept / sampling_iters,
-        chains=chains,
-    )
+                pi_store[j, it - warmup] = np.exp(log_softmax(theta[: dim - 1]))
+                u_store[j, it - warmup] = theta[dim - 1]
+    return pi_store, u_store
+
+
+def batch_means_se(per_chain, batches=20):
+    """Monte Carlo standard error of the pooled mean of (chains, draws)
+    autocorrelated values, from the means of ``batches`` blocks per chain."""
+    chains, n = per_chain.shape
+    means = per_chain[:, : n - n % batches].reshape(chains * batches, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(means.shape[0]))
 
 
 class TestMcmc:
@@ -378,11 +390,21 @@ class TestMcmc:
         assert draws.pi_global.shape == (500, 5)
         assert draws.eta0.shape == (500,)
         assert draws.rhat.shape == (6,)
-        assert draws.accept_rates.shape == (2, 5)
+        assert draws.ess.shape == draws.khat.shape == draws.accept_rates.shape == (2,)
         np.testing.assert_allclose(draws.pi_global.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(draws.eta0 > 0.0)
-        assert np.all((draws.accept_rates >= 0.0) & (draws.accept_rates <= 1.0))
+        assert np.all((draws.ess >= 1.0) & (draws.ess <= 250.0))
+        np.testing.assert_array_equal(draws.accept_rates, draws.ess / 250)
         assert draws.n_draws == 500
+
+    @pytest.mark.parametrize("C", [2, 7, 10])
+    def test_draws_are_finite_at_every_width(self, C):
+        got = mcmc_sample(table(C, seed=1), PriorChoice.half_cauchy(), mp.RngStream(66),
+                          chains=2, sampling_iters=200)
+        assert got.pi_global.shape == (400, C) and got.rhat.shape == (C + 1,)
+        np.testing.assert_allclose(got.pi_global.sum(axis=1), 1.0, atol=1e-10)
+        assert np.all(np.isfinite(got.eta0) & (got.eta0 > 0.0))
+        assert np.all(got.ess > 1.0) and np.all(np.isfinite(got.khat))
 
     def test_rho_is_inverse_shifted_eta0(self, draws):
         np.testing.assert_allclose(draws.rho, 1.0 / (1.0 + draws.eta0), rtol=1e-12)
@@ -404,129 +426,87 @@ class TestMcmc:
         with pytest.raises(ValidationError):
             mcmc_sample(toy_data, PriorChoice.half_cauchy(), mp.RngStream(1), chains=1)
 
-    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    def test_warmup_is_checked_but_changes_nothing(self, histo_data):
+        kw = dict(chains=2, sampling_iters=100)
+        with pytest.raises(ValidationError):
+            mcmc_sample(histo_data, PriorChoice.half_cauchy(), mp.RngStream(1), warmup=-1, **kw)
+        none = mcmc_sample(histo_data, PriorChoice.half_cauchy(), mp.RngStream(1), warmup=0, **kw)
+        many = mcmc_sample(histo_data, PriorChoice.half_cauchy(), mp.RngStream(1), warmup=9999, **kw)
+        np.testing.assert_array_equal(none.pi_global, many.pi_global)
+        np.testing.assert_array_equal(none.eta0, many.eta0)
+
+    def test_batch_j_draws_from_child_j(self, histo_data):
+        # Batches are independent: the first two of four equal a two-batch run.
+        kw = dict(sampling_iters=300)
+        two = mcmc_sample(histo_data, PriorChoice.beta_icc(), mp.RngStream(3), chains=2, **kw)
+        four = mcmc_sample(histo_data, PriorChoice.beta_icc(), mp.RngStream(3), chains=4, **kw)
+        np.testing.assert_array_equal(four.eta0[:600], two.eta0)
+        np.testing.assert_array_equal(four.ess[:2], two.ess)
+
     @pytest.mark.parametrize(
         "prior, C",
         [
             pytest.param(prior, C, id=f"prior{i}" if C == 5 else f"prior{i}-C{C}")
-            for C in (5, 3, 7)
+            for C in (5, 3)
             for i, prior in enumerate(PRIORS)
         ],
     )
-    def test_lockstep_matches_chain_at_a_time_reference(self, histo_data, prior, C):
-        data = histo_data if C == 5 else table(C)
-        kw = dict(chains=3, sampling_iters=250, warmup=200)
-        got = mcmc_sample(data, prior, mp.RngStream(64), **kw)
-        want = reference_mcmc(data, prior, mp.RngStream(64), **kw)
-        np.testing.assert_array_equal(got.accept_rates, want.accept_rates)
-        np.testing.assert_allclose(got.pi_global, want.pi_global, rtol=1e-12)
-        np.testing.assert_allclose(got.eta0, want.eta0, rtol=1e-12)
-        np.testing.assert_allclose(got.rhat, want.rhat, rtol=1e-12)
-        np.testing.assert_array_equal(
-            posterior_predictive(got, 46, mp.RngStream(65)).y_pred,
-            posterior_predictive(want, 46, mp.RngStream(65)).y_pred,
+    def test_moments_match_chain_at_a_time_reference(self, histo_data, recovery_data, prior, C):
+        """Posterior mean and sd of log eta0 and of each pi_c against a long
+        Metropolis run, within four Monte Carlo standard errors.  C=5 is the
+        severity-shaped table, C=3 criterion 8's recovery table."""
+        data = histo_data if C == 5 else recovery_data
+        got = mcmc_sample(data, prior, mp.RngStream(68))
+        pi_ref, u_ref = reference_mcmc(
+            data, prior, mp.RngStream(69), chains=4, sampling_iters=4000, warmup=1000
         )
+        ess = float(got.ess.sum())
+        pairs = [(np.log(got.eta0), u_ref)] + [
+            (got.pi_global[:, c], pi_ref[:, :, c]) for c in range(C)
+        ]
+        for sir, ref in pairs:
+            centre = ref.mean()
+            # The sd is compared through the mean squared deviation.
+            for f in (lambda v: v, lambda v: (v - centre) ** 2):
+                a, b = f(sir), f(ref)
+                # Resampled draws: the importance error plus the resampling error.
+                se_sir = a.std() * math.sqrt(1.0 / ess + 1.0 / a.shape[0])
+                se = math.hypot(se_sir, batch_means_se(b))
+                assert abs(a.mean() - b.mean()) <= 4.0 * se
 
-    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
-    @pytest.mark.parametrize("C", [2, 3, 4, 5, 7, 10])
     @pytest.mark.parametrize("prior", PRIORS)
-    @pytest.mark.parametrize("chains", [2, 4])
-    def test_prefetch_matches_sequential_sweep(self, monkeypatch, C, prior, chains):
-        # Blocks of one coordinate are the plain sequential sweep; most of
-        # these C values end in a partial block.
-        data = table(C, seed=1)
-        kw = dict(chains=chains, sampling_iters=100, warmup=100)
-        got = mcmc_sample(data, prior, mp.RngStream(66), **kw)
-        monkeypatch.setattr("mnpred.bayes._BLOCK", 1)
-        want = mcmc_sample(data, prior, mp.RngStream(66), **kw)
-        np.testing.assert_array_equal(got.pi_global, want.pi_global)
-        np.testing.assert_array_equal(got.eta0, want.eta0)
-        np.testing.assert_array_equal(got.accept_rates, want.accept_rates)
-        np.testing.assert_array_equal(got.rhat, want.rhat)
+    def test_severity_table_needs_no_warning(self, histo_data, prior):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            got = mcmc_sample(histo_data, prior, mp.RngStream(2))
+        assert got.khat.max() <= 0.7 and np.nanmax(got.rhat) <= 1.05
 
-    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
-    @pytest.mark.parametrize("C", [2, 3, 4, 5, 7, 10])
-    def test_one_log_posterior_call_per_block(self, monkeypatch, C):
-        # A deterministic guard against a return to one call per coordinate.
-        rows = []
-        score = _LogPosterior.__call__
+    def test_poor_mixing_warns(self, monkeypatch, histo_data):
+        # A proposal centred two sds off the mode and a fifth as wide puts
+        # the posterior's bulk in its tail, so a few huge weights dominate.
+        laplace = mnpred.bayes._laplace
 
-        def counted(self, theta):
-            rows.append(theta.shape[0])
-            return score(self, theta)
+        def off_centre(logp, theta):
+            mode, cov = laplace(logp, theta)
+            return mode + 2.0 * np.sqrt(np.diag(cov)), cov / 25.0
 
-        monkeypatch.setattr(_LogPosterior, "__call__", counted)
-        chains, iters = 3, 60
-        mcmc_sample(
-            table(C, seed=2), PriorChoice.half_cauchy(), mp.RngStream(67),
-            chains=chains, sampling_iters=iters - 50, warmup=50,
-        )
-        start_up = [r for r in rows if r == 1]
-        assert len(start_up) == chains  # every first jitter was finite
-        per_sweep = [chains * (2 ** min(3, C - lo) - 1) for lo in range(0, C, 3)]
-        assert len(per_sweep) == math.ceil(C / 3)
-        assert rows == start_up + per_sweep * iters
-
-    def test_poor_mixing_warns(self):
-        pi = np.array([0.44, 0.22, 0.11, 0.11, 0.11])
-        data = mp.generate_dataset(10, 46, pi, 3.19, mp.RngStream(42).child(0))
-        with pytest.warns(ConvergenceWarning, match="R-hat"):
-            mcmc_sample(
-                data,
-                PriorChoice.half_cauchy(),
-                mp.RngStream(42),
-                chains=2,
-                sampling_iters=400,
-                warmup=300,
-            )
+        monkeypatch.setattr(mnpred.bayes, "_laplace", off_centre)
+        with pytest.warns(ConvergenceWarning, match="k-hat"):
+            mcmc_sample(histo_data, PriorChoice.half_cauchy(), mp.RngStream(42))
 
 
-class TestReplay:
-    @staticmethod
-    def sequential(lp_prop, lp_cur, log_u):
-        """The accept tests of a sequential sweep, looking each proposal up
-        by the set of block coordinates it moves."""
-        k = len(log_u[0])
-        out = []
-        for j in range(len(lp_cur)):
-            moved, cur = frozenset(), lp_cur[j]
-            for i in range(k):
-                trial = moved | {i}
-                r = sum(1 << b for b in trial) - 1
-                lp = float(lp_prop[j, r])
-                if log_u[j][i] < lp - cur:
-                    moved, cur = trial, lp
-            out.append((sum(1 << b for b in moved), cur))
-        return out
+class TestParetoKhat:
+    @pytest.mark.parametrize("k", [0.2, 0.5, 0.9])
+    def test_recovers_generalized_pareto_shape(self, k):
+        # Excesses over a high threshold of a GPD(k) sample are GPD(k) again,
+        # so the fitted shape is k up to sampling error (sd about
+        # (1 + k) / sqrt(3000) = 0.02-0.035 here) and the prior's pull to 0.5.
+        u = np.random.default_rng(int(10 * k)).random(1_000_000)
+        weights = ((1.0 - u) ** -k - 1.0) / k
+        assert _pareto_khat(np.log(weights)) == pytest.approx(k, abs=0.1)
 
-    def test_minus_inf_proposals_are_rejected(self):
-        inf = math.inf
-        # rows: {0}, {1}, {0,1}, {2}, {0,2}, {1,2}, {0,1,2}
-        lp_prop = np.array(
-            [
-                [-0.5, 9.0, -inf, 9.0, 0.3, 9.0, 9.0],
-                [-inf, -2.0, 9.0, 9.0, 9.0, -inf, 9.0],
-                [-inf, -inf, -inf, -inf, -inf, -inf, -inf],
-            ]
-        )
-        lp_cur = [0.0, -1.0, -4.0]
-        log_u = [[-1.0, -1.0, -1.0], [-1.0, -3.0, -1.0], [-50.0, -50.0, -50.0]]
-        history = _replay(lp_prop, lp_cur, log_u)
-        assert history == [0b101, 0b010, 0]
-        assert lp_cur == [0.3, -2.0, -4.0]
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_sequential_accept_tests(self, k):
-        rng = np.random.default_rng(k)
-        chains = 50
-        lp_prop = rng.normal(0.0, 1.0, (chains, (1 << k) - 1))
-        lp_prop[rng.random(lp_prop.shape) < 0.3] = -math.inf
-        lp_cur = rng.normal(0.0, 1.0, chains).tolist()
-        log_u = np.log(rng.random((chains, k))).tolist()
-        want = self.sequential(lp_prop, lp_cur, log_u)
-        history = _replay(lp_prop, lp_cur, log_u)
-        assert list(zip(history, lp_cur)) == want
-        assert len(set(history)) > 1
+    def test_equal_weights_have_no_tail(self):
+        assert _pareto_khat(np.zeros(1000)) == math.inf
 
 
 class TestPosteriorPredictive:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,29 @@ class TestCliPredict:
             assert default(mcmc_sample, field) == getattr(d, field)
         assert default(mvn_interval, "n_draws") == d.mvn_draws
         assert default(equicoordinate_quantile, "n_draws") == d.mvn_draws
+
+    def test_benchmark_worker_interface(self, cli_files, tmp_path, capsys):
+        """What perfbench/worker.py drives stays accepted: predict_argv's
+        sampler flags, catalog_cell's Scenario fields, and the draws'
+        rhat and accept_rates that a traced run reads."""
+        _, counts, _ = cli_files
+        out = str(tmp_path / "intervals.csv")
+        rc = main([
+            "predict", "--data", counts, "--m", "24", "--methods", "all", "--seed", "1",
+            "--B", "200", "--chains", "4", "--sampling", "2500", "--warmup", "1000",
+            "--mvn-draws", "100000", "--alpha", "0.05", "--prior", "cauchy", "--out", out,
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert len(read_rows_csv(out)) == 11 * 4
+        draws = mcmc_sample(
+            parse_counts_csv(counts), mp.PriorChoice.half_cauchy(), mp.RngStream(1).child(2),
+            chains=4, sampling_iters=2500, warmup=1000,
+        )
+        assert draws.rhat.shape == (5,) and np.all(np.isfinite(draws.rhat))
+        assert draws.accept_rates.shape == (4,)
+        assert np.all((draws.accept_rates > 0.0) & (draws.accept_rates <= 1.0))
+        cell = replace(mp.scenario_catalog()[0], chains=2, warmup=1000, mvn_draws=100_000)
+        assert (cell.chains, cell.warmup, cell.mvn_draws) == (2, 1000, 100_000)
 
     def test_generated_inputs_parse(self, cli_files):
         _, counts, future = cli_files

@@ -15,9 +15,9 @@ def _draws():
     return PosteriorDraws(
         pi_global=np.full((4, 3), 1.0 / 3.0),
         eta0=np.full(4, 5.0),
-        rhat=np.ones(3),
-        accept_rates=np.full((2, 3), 0.3),
-        chains=2,
+        rhat=np.ones(4),
+        ess=np.full(2, 2.0),
+        khat=np.full(2, 0.3),
     )
 
 
