@@ -474,6 +474,54 @@ class TestMcmc:
                 se = math.hypot(se_sir, batch_means_se(b))
                 assert abs(a.mean() - b.mean()) <= 4.0 * se
 
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("C", [2, 3, 4, 5, 7, 10])
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("chains", [2, 4])
+    def test_prefetch_matches_sequential_sweep(self, monkeypatch, C, prior, chains):
+        # A batch draws all its proposals before it scores them in blocks;
+        # blocks of one proposal are the plain sequential sweep over them,
+        # and blocks of 7 end in a partial block.
+        data = table(C, seed=1)
+        kw = dict(chains=chains, sampling_iters=100)
+        got = mcmc_sample(data, prior, mp.RngStream(66), **kw)
+        for block in (7, 1):
+            monkeypatch.setattr("mnpred.bayes._SCORE_BLOCK", block)
+            want = mcmc_sample(data, prior, mp.RngStream(66), **kw)
+            np.testing.assert_array_equal(got.pi_global, want.pi_global)
+            np.testing.assert_array_equal(got.eta0, want.eta0)
+            np.testing.assert_array_equal(got.ess, want.ess)
+            np.testing.assert_array_equal(got.khat, want.khat)
+            np.testing.assert_array_equal(got.rhat, want.rhat)
+
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("C", [2, 3, 4, 5, 7, 10])
+    def test_one_log_posterior_call_per_block(self, monkeypatch, C):
+        # A deterministic guard against a return to one call per proposal.
+        rows = []
+        score = _LogPosterior.__call__
+
+        def counted(self, theta):
+            rows.append(theta.shape[0])
+            return score(self, theta)
+
+        monkeypatch.setattr(_LogPosterior, "__call__", counted)
+        chains, iters = 3, 2500
+        mcmc_sample(
+            table(C, seed=2), PriorChoice.half_cauchy(), mp.RngStream(67),
+            chains=chains, sampling_iters=iters,
+        )
+        block = mnpred.bayes._SCORE_BLOCK
+        per_batch = [block] * (iters // block) + [iters % block]
+        sampling = 1 + chains * len(per_batch)
+        # The Newton search: a stencil of 1 + C + C**2 rows per iteration,
+        # each but perhaps the last followed by the 30 halved steps.
+        newton = rows[:-sampling]
+        assert 1 <= len(newton) <= 2 * mnpred.bayes._NEWTON_ITERS
+        assert set(newton[::2]) == {1 + C + C * C}
+        assert set(newton[1::2]) <= {30}
+        assert rows[-sampling:] == [mnpred.bayes._GRID_CELLS] + per_batch * chains
+
     @pytest.mark.parametrize("prior", PRIORS)
     def test_severity_table_needs_no_warning(self, histo_data, prior):
         with warnings.catch_warnings():
