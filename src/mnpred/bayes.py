@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dm import multinomial_in_place, sample_dirichlet
+from .dm import sample_dirichlet
 from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
 from .errors import (
     ConvergenceWarning,
@@ -568,7 +568,7 @@ def posterior_predictive(draws: PosteriorDraws, m: int, rng: RngStream) -> Predi
     # Exact zeros can only come from floating underflow; nudge them so the
     # Dirichlet sampler keeps its support check.
     eta = np.maximum(eta, np.finfo(float).tiny)
-    y = multinomial_in_place(int(m), sample_dirichlet(eta, gen), gen)
+    y = gen.multinomial(int(m), sample_dirichlet(eta, gen))
     return PredictiveSamples(y_pred=y, m=int(m))
 
 

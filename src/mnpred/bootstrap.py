@@ -50,12 +50,12 @@ __all__ = [
     "rank_scs_interval",
 ]
 
-# A refit block holds at most _REFIT_BLOCK replicates and _REFIT_CELLS table
-# cells, so each Pearson residual temporary stays near half a MB whatever
-# K*C is, and small tables keep their blocks of 500.  Each replicate's sums
-# run over its own table only, so the block size never moves a byte.
-_REFIT_BLOCK = 500
-_REFIT_CELLS = 1 << 16
+# An ensemble block holds at most 500 replicates and _BLOCK_CELLS table cells,
+# so each per-block table stays near half a MB whatever K*C is.  The block is
+# part of the draw layout: an ensemble larger than one block draws each
+# block's gammas, multinomial and repair integers in turn, so a new block
+# rule moves its bytes.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,8 @@ def build_ensemble(
     ``fit_model`` does, and draws one future cluster of m units with
     the dispersion re-truncated to 97.5% of m.
 
-    Peak memory is about 1 x B*K*C*8 bytes plus a fixed working set:
-    the counts are drawn into the float Dirichlet buffer they come from
-    and repaired in place, and the multinomial and the refit run over
-    blocks of fixed size.  Unequal cluster sizes make one draw per
-    distinct size and copy each into the stacked counts; that buffer is
-    live while each size is drawn, so the peak reaches about 2.1 x when
-    one size holds almost every cluster.
+    The replicates are drawn, repaired and refitted one block at a time,
+    so no B x K x C table is ever held.
     """
     gen = require_stream(rng, "build_ensemble").generator()
     B = int(B)
@@ -105,27 +100,25 @@ def build_ensemble(
         raise ValidationError("ensemble needs at least 2 replicates")
     m = spec.m
     sizes = data.cluster_sizes
+    C = fit.pi_hat.shape[0]
 
-    # Looked up in this module's globals at call time, so a wrapper set as
-    # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
-    # sees every ensemble draw.
-    counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=B)
-    repair_zero_columns_in_place(counts, gen)
-
-    # Vectorised refit, replicating fit_model row for row, one block of
-    # replicates at a time, so no whole-table (B, K) or (B, C) sums are held.
+    # Vectorised refit, replicating fit_model row for row.
     N_star = np.empty(B)
-    pi_star = np.empty((B, counts.shape[2]))
+    pi_star = np.empty((B, C))
     phi_raw = np.empty(B)
-    n_min = np.empty(B, dtype=counts.dtype)
-    block = max(1, min(_REFIT_BLOCK, _REFIT_CELLS // counts[0].size))
+    n_min = np.empty(B, dtype=np.int64)
+    block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
     for i in range(0, B, block):
         rows = slice(i, i + block)
-        chunk = counts[rows]
-        n_star = chunk.sum(axis=2)                       # (block, K)
+        # Looked up in this module's globals at call time, so a wrapper set as
+        # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
+        # sees every block's draw.
+        counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=min(block, B - i))
+        repair_zero_columns_in_place(counts, gen)
+        n_star = counts.sum(axis=2)                      # (block, K)
         N_star[rows] = n_star.sum(axis=1)
-        pi_star[rows] = chunk.sum(axis=1) / N_star[rows, None]
-        phi_raw[rows] = pearson_dispersion(chunk, pi_star[rows])[2]
+        pi_star[rows] = counts.sum(axis=1) / N_star[rows, None]
+        phi_raw[rows] = pearson_dispersion(counts, pi_star[rows])[2]
         n_min[rows] = n_star.min(axis=1)
     phi_star = clamp_dispersion(phi_raw, n_min)
 

@@ -27,9 +27,6 @@ __all__ = [
 # Retry budget for redrawing Dirichlet rows whose gamma draws all
 # underflow to zero (possible only for very small concentrations).
 _MAX_REDRAWS = 1000
-# Probability rows per multinomial call.  Generator.multinomial reads a 2-D
-# pvals row by row, so drawing in row blocks gives the draws of one call.
-_ROW_BLOCK = 4096
 
 
 def derive_eta0(n: int | float, phi: float) -> float:
@@ -102,11 +99,8 @@ def draw_dm_counts(
 ) -> np.ndarray:
     """``sample_dm_counts`` drawing from a live generator.
 
-    The counts are written over the Dirichlet draw they come from (see
-    ``multinomial_in_place``), so a draw of R clusters takes one R x C
-    buffer plus one block of ``_ROW_BLOCK`` rows.  Structural zeros are
-    first spread into a zero-filled probability array, which then
-    replaces the draw.
+    Structural zeros are spread into a zero-filled probability array
+    before the multinomial draw.
     """
     pi = _checked_probs(pi)
     n = int(n)
@@ -118,28 +112,10 @@ def draw_dm_counts(
     pos = pi > 0.0
     p = sample_dirichlet(eta0 * pi[pos], gen, size=size)
     if pos.all():
-        return multinomial_in_place(n, p, gen)
+        return gen.multinomial(n, p)
     probs = np.zeros(p.shape[:-1] + pi.shape)
     probs[..., pos] = p
-    del p  # freed before the multinomial, which needs only probs
-    return multinomial_in_place(n, probs, gen)
-
-
-def multinomial_in_place(n: int, probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Multinomial(n, p) for each row p of ``probs``, drawn into ``probs``' own buffer.
-
-    ``probs`` is a fresh C-contiguous float64 array with categories along
-    its last axis, and the call consumes it.  int64 and float64 are both
-    8 bytes wide, so each block of ``_ROW_BLOCK`` rows of counts is
-    written over the rows it was just drawn from; the result is the int64
-    view of that buffer, in ``probs``' shape.  The draws equal those of
-    one ``gen.multinomial(n, probs)`` call.
-    """
-    rows = probs.reshape(-1, probs.shape[-1])
-    counts = rows.view(np.int64)
-    for i in range(0, rows.shape[0], _ROW_BLOCK):
-        counts[i : i + _ROW_BLOCK] = gen.multinomial(n, rows[i : i + _ROW_BLOCK])
-    return counts.reshape(probs.shape)
+    return gen.multinomial(n, probs)
 
 
 def sample_dm_matrix(
@@ -149,11 +125,9 @@ def sample_dm_matrix(
 
     Cluster sizes may differ; each cluster uses the concentration derived
     from its own n_k so that every row hits the same dispersion phi.
-    Equal sizes make one batched draw, returned reshaped without a copy,
-    so the peak is the B*K*C*8-byte table plus one multinomial row block.
-    Unequal sizes make one draw per distinct size, each copied into the
-    stacked result while it is live, so the peak reaches about 2.1 x the
-    table when one size holds almost every cluster.
+    Equal sizes make one batched draw, returned reshaped without a copy;
+    unequal sizes make one draw per distinct size, each copied into the
+    stacked result.
     """
     sizes = np.asarray(cluster_sizes, dtype=np.int64)
     if sizes.ndim != 1 or sizes.shape[0] < 1:

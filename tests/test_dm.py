@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 import mnpred as mp
 from mnpred.dm import (
     _MAX_REDRAWS,
-    _ROW_BLOCK,
     _checked_probs,
     derive_eta0,
     draw_dm_counts,
-    multinomial_in_place,
     repair_zero_columns_in_place,
     sample_dirichlet,
     sample_dm_matrix,
@@ -301,20 +299,12 @@ class TestMatchesReferenceDraws:
             sample_dm_matrix, reference_sample_dm_matrix, [25] * 8, pi, 2.0, size=50
         )
 
-    # Every distinct size draws 2 * _ROW_BLOCK + 17 rows: two whole
-    # multinomial blocks and a short one.
+    # Large draws too: 8209 rows for every distinct size.
     @pytest.mark.parametrize(
         "sizes, pi",
         [([40], (0.1, 0.2, 0.3, 0.4)), ([10, 30], (0.1, 0.2, 0.3, 0.4)), ([25], (0.3, 0.0, 0.7))],
         ids=["equal", "unequal", "structural-zero"],
     )
     def test_dm_matrix_across_row_blocks(self, sizes, pi):
-        size = 2 * _ROW_BLOCK + 17
+        size = 8209
         assert_same_draws(sample_dm_matrix, reference_sample_dm_matrix, sizes, pi, 3.0, size=size)
-
-    def test_multinomial_in_place_is_one_multinomial_call(self):
-        probs = np.random.default_rng(6).dirichlet(np.ones(4), size=2 * _ROW_BLOCK + 17)
-        want = mp.RngStream(93).generator().multinomial(30, probs)
-        got = multinomial_in_place(30, probs, mp.RngStream(93).generator())
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert got.base is probs

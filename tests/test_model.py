@@ -16,7 +16,6 @@ from mnpred.errors import (
     ZeroCategory,
     ZeroProbability,
 )
-from mnpred.bootstrap import _REFIT_BLOCK
 from mnpred.methods import compute_intervals, resolve_methods
 from mnpred.model import pearson_dispersion
 
@@ -120,15 +119,14 @@ class TestDispersion:
 
     def test_blocked_kernel_matches_whole_batch(self):
         """The ensemble refit runs the kernel over blocks of replicates; the bytes must not move."""
-        B = 1234  # not a multiple of the block, so the last block is short
-        assert B % _REFIT_BLOCK
+        B, block = 1234, 500  # the last block is short
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 40, size=(B, 12, 6)) + 1
         pi = counts.sum(axis=1) / counts.sum(axis=(1, 2))[:, None]
         whole = pearson_dispersion(counts, pi)
         blocks = [
-            pearson_dispersion(counts[i : i + _REFIT_BLOCK], pi[i : i + _REFIT_BLOCK])
-            for i in range(0, B, _REFIT_BLOCK)
+            pearson_dispersion(counts[i : i + block], pi[i : i + block])
+            for i in range(0, B, block)
         ]
         for k in range(3):
             assert np.concatenate([b[k] for b in blocks]).tobytes() == whole[k].tobytes()
