@@ -134,11 +134,8 @@ class PriorChoice:
         if self.kind == "cauchy":
             u = x / self.scale
             big = u > _SQUARE_SAFE
-            if big.any():
-                safe = np.minimum(u, _SQUARE_SAFE)
-                tail = np.where(big, 2.0 * np.log(np.maximum(u, _SQUARE_SAFE)), np.log1p(safe**2))
-            else:
-                tail = np.log1p(u**2)
+            safe = np.minimum(u, _SQUARE_SAFE)
+            tail = np.where(big, 2.0 * np.log(np.maximum(u, _SQUARE_SAFE)), np.log1p(safe**2))
             return math.log(2.0 / math.pi) - math.log(self.scale) - tail
         a, b = self.beta_a, self.beta_b
         # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.

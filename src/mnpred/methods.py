@@ -42,25 +42,19 @@ __all__ = [
     "compute_intervals",
 ]
 
-FREQUENTIST_METHODS = (
-    "pointwise",
-    "bonferroni",
-    "mvn",
-    "symmetric",
-    "asymmetric",
-    "marginal",
-    "masr",
-    "rank-scs",
-)
 _BOOTSTRAP_METHODS = ("symmetric", "asymmetric", "marginal", "masr", "rank-scs")
+FREQUENTIST_METHODS = ("pointwise", "bonferroni", "mvn") + _BOOTSTRAP_METHODS
 BAYES_CONSTRUCTIONS = ("bayes-bonf", "bayes-mean", "bayes-scs")
-PRIORS = ("cauchy", "beta")
 
-# Fixed substream indices per shared resource (see module docstring).
+# Fixed substream indices per shared resource (see module docstring): the
+# ensemble and the mvn draws, then each prior's posterior and predictive.
 _STREAM_ENSEMBLE = 0
 _STREAM_MVN = 1
-_STREAM_MCMC = {"cauchy": 2, "beta": 4}
-_STREAM_PREDICTIVE = {"cauchy": 3, "beta": 5}
+_PRIOR_TABLE = {
+    "cauchy": (PriorChoice.half_cauchy(), 2, 3),
+    "beta": (PriorChoice.beta_icc(), 4, 5),
+}
+PRIORS = tuple(_PRIOR_TABLE)
 
 
 @dataclass(frozen=True)
@@ -72,32 +66,6 @@ class MethodRequest:
     prior: str | None = None
 
 
-def _parse_token(token: str, priors: tuple[str, ...]) -> list[MethodRequest]:
-    t = token.strip().lower()
-    if t == "all":
-        out = [MethodRequest(mid, mid) for mid in FREQUENTIST_METHODS]
-        for mid in BAYES_CONSTRUCTIONS:
-            out.extend(MethodRequest(f"{mid}-{p}", mid, p) for p in priors)
-        return out
-    if t in FREQUENTIST_METHODS:
-        return [MethodRequest(t, t)]
-    if t in BAYES_CONSTRUCTIONS:
-        return [MethodRequest(f"{t}-{p}", t, p) for p in priors]
-    for mid in BAYES_CONSTRUCTIONS:
-        for p in PRIORS:
-            if t == f"{mid}-{p}":
-                return [MethodRequest(t, mid, p)]
-    valid = (
-        ("all",)
-        + FREQUENTIST_METHODS
-        + BAYES_CONSTRUCTIONS
-        + tuple(f"{m}-{p}" for m in BAYES_CONSTRUCTIONS for p in PRIORS)
-    )
-    raise ValidationError(
-        f"unknown method {token!r}; valid ids: {', '.join(valid)}"
-    )
-
-
 def resolve_methods(
     tokens: Iterable[str],
     priors: Iterable[str] = ("cauchy",),
@@ -105,26 +73,43 @@ def resolve_methods(
     """Expand user method tokens into unique, ordered computation requests.
 
     Bare Bayesian ids expand once per entry in ``priors``; an explicit
-    suffix (e.g. ``bayes-scs-beta``) pins the prior regardless.
+    suffix (e.g. ``bayes-scs-beta``) pins the prior regardless.  A bare
+    Bayesian id with no prior to expand to is an error; ``all`` then
+    expands to the frequentist methods only.
     """
     priors = tuple(priors)
     for p in priors:
         if p not in PRIORS:
             raise ValidationError(f"unknown prior {p!r}; valid: {', '.join(PRIORS)}")
-    out: list[MethodRequest] = []
-    seen: set[str] = set()
+    frequentist = {mid: [MethodRequest(mid, mid)] for mid in FREQUENTIST_METHODS}
+    bare = {
+        mid: [MethodRequest(f"{mid}-{p}", mid, p) for p in priors] for mid in BAYES_CONSTRUCTIONS
+    }
+    # Every valid token, in the order an unknown one lists them.
+    table = {
+        "all": [req for reqs in (*frequentist.values(), *bare.values()) for req in reqs],
+        **frequentist,
+        **bare,
+        **{
+            f"{mid}-{p}": [MethodRequest(f"{mid}-{p}", mid, p)]
+            for mid in BAYES_CONSTRUCTIONS
+            for p in PRIORS
+        },
+    }
+    out: dict[str, MethodRequest] = {}
     for token in tokens:
-        for req in _parse_token(token, priors):
-            if req.output_id not in seen:
-                seen.add(req.output_id)
-                out.append(req)
+        reqs = table.get(token.strip().lower())
+        if reqs is None:
+            raise ValidationError(f"unknown method {token!r}; valid ids: {', '.join(table)}")
+        if not reqs:
+            raise ValidationError(
+                f"method {token.strip()!r} needs a prior; valid priors: {', '.join(PRIORS)}"
+            )
+        for req in reqs:
+            out.setdefault(req.output_id, req)
     if not out:
         raise ValidationError("empty method list")
-    return tuple(out)
-
-
-def _prior_object(name: str) -> PriorChoice:
-    return PriorChoice.half_cauchy() if name == "cauchy" else PriorChoice.beta_icc()
+    return tuple(out.values())
 
 
 def compute_intervals(
@@ -145,52 +130,38 @@ def compute_intervals(
     if any(r.construction in _BOOTSTRAP_METHODS for r in requests):
         ensemble = build_ensemble(fit, data, spec, B, rng.child(_STREAM_ENSEMBLE))
     predictive = {}
-    for prior_name in PRIORS:
-        if any(r.prior == prior_name for r in requests):
+    for name, (prior, mcmc_stream, predictive_stream) in _PRIOR_TABLE.items():
+        if any(r.prior == name for r in requests):
             draws = mcmc_sample(
                 data,
-                _prior_object(prior_name),
-                rng.child(_STREAM_MCMC[prior_name]),
+                prior,
+                rng.child(mcmc_stream),
                 chains=chains,
                 sampling_iters=sampling_iters,
                 warmup=warmup,
             )
-            predictive[prior_name] = posterior_predictive(
-                draws, spec.m, rng.child(_STREAM_PREDICTIVE[prior_name])
-            )
+            predictive[name] = posterior_predictive(draws, spec.m, rng.child(predictive_stream))
 
-    out: dict[str, PredictionIntervalSet] = {}
-    for req in requests:
-        kind = req.construction
-        if kind == "pointwise":
-            result = pointwise_interval(fit, spec)
-        elif kind == "bonferroni":
-            result = bonferroni_interval(fit, spec)
-        elif kind == "mvn":
-            result = mvn_interval(fit, spec, rng.child(_STREAM_MVN), n_draws=mvn_draws)
-        elif kind == "symmetric":
-            result = symmetric_calibration(ensemble, fit, spec)
-        elif kind == "asymmetric":
-            result = asymmetric_calibration(ensemble, fit, spec)
-        elif kind == "marginal":
-            result = marginal_calibration(ensemble, fit, spec)
-        elif kind == "masr":
-            result = masr_interval(ensemble, fit, spec)
-        elif kind == "rank-scs":
-            result = rank_scs_interval(ensemble, fit, spec)
-        elif kind == "bayes-bonf":
-            result = bayes_bonferroni_interval(
-                predictive[req.prior], spec.alpha, label=req.output_id
-            )
-        elif kind == "bayes-mean":
-            result = bayes_mean_centered_interval(
-                predictive[req.prior], spec.alpha, label=req.output_id
-            )
-        elif kind == "bayes-scs":
-            result = bayes_rank_scs_interval(
-                predictive[req.prior], spec.alpha, label=req.output_id
-            )
-        else:  # pragma: no cover - resolve_methods screens ids
-            raise ValidationError(f"unhandled construction {kind!r}")
-        out[req.output_id] = result
-    return out
+    # One builder per construction id.  Each names its builder inside the
+    # lambda, so the module global is read at call time and a wrapper
+    # swapped into it sees the call.
+    builders = {
+        "pointwise": lambda r: pointwise_interval(fit, spec),
+        "bonferroni": lambda r: bonferroni_interval(fit, spec),
+        "mvn": lambda r: mvn_interval(fit, spec, rng.child(_STREAM_MVN), n_draws=mvn_draws),
+        "symmetric": lambda r: symmetric_calibration(ensemble, fit, spec),
+        "asymmetric": lambda r: asymmetric_calibration(ensemble, fit, spec),
+        "marginal": lambda r: marginal_calibration(ensemble, fit, spec),
+        "masr": lambda r: masr_interval(ensemble, fit, spec),
+        "rank-scs": lambda r: rank_scs_interval(ensemble, fit, spec),
+        "bayes-bonf": lambda r: bayes_bonferroni_interval(
+            predictive[r.prior], spec.alpha, label=r.output_id
+        ),
+        "bayes-mean": lambda r: bayes_mean_centered_interval(
+            predictive[r.prior], spec.alpha, label=r.output_id
+        ),
+        "bayes-scs": lambda r: bayes_rank_scs_interval(
+            predictive[r.prior], spec.alpha, label=r.output_id
+        ),
+    }
+    return {r.output_id: builders[r.construction](r) for r in requests}

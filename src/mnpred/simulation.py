@@ -63,7 +63,12 @@ class Scenario:
             raise ValidationError("pi_true must be a vector with at least 2 categories")
         if np.any(pi <= 0.0):
             raise ValidationError("pi_true entries must be strictly positive")
-        pi = pi / pi.sum()
+        total = pi.sum()
+        # as in dm._checked_probs: tabulated vectors are rounded, so a sum
+        # within [0.9, 1.1] is renormalised and anything further off rejected
+        if not 0.9 <= total <= 1.1:
+            raise ValidationError(f"probabilities sum to {total:.10g}, expected 1")
+        pi = pi / total
         pi.setflags(write=False)
         object.__setattr__(self, "pi_true", pi)
         if self.m is None:

@@ -178,6 +178,17 @@ phi = 2.5
         with pytest.raises(ValidationError, match="B"):
             build_scenarios(parse_config(put(tmp_path, "run.cfg", "B = 0\n")))
 
+    @pytest.mark.parametrize("pi", ["0.3, 0.3, 4.0", "30, 30, 40", "0.3, 0.3, 0.2"])
+    def test_custom_pi_must_sum_to_about_one(self, tmp_path, pi):
+        cfg = parse_config(put(tmp_path, "run.cfg", f"pi = {pi}\nK = 5\nn = 20\nphi = 2.0\n"))
+        with pytest.raises(ValidationError, match="probabilities sum to .*, expected 1"):
+            build_scenarios(cfg)
+
+    def test_custom_pi_near_one_is_renormalised(self, tmp_path):
+        text = "pi = 0.33, 0.33, 0.33\nK = 5\nn = 20\nphi = 2.0\n"
+        (scenario,) = build_scenarios(parse_config(put(tmp_path, "run.cfg", text)))
+        np.testing.assert_allclose(scenario.pi_true, [1 / 3] * 3)
+
     def test_small_s_floors_sampling_iters(self):
         s = Scenario(pi_true=(0.5, 0.5), K=5, n=20, phi=2.0, S=7)
         assert s.sampling_iters == 4
@@ -373,6 +384,16 @@ class TestCliPredict:
         assert rc == 2
         assert err.startswith("usage error:")
         assert "pointwise" in err  # lists the valid ids
+
+    @pytest.mark.parametrize("methods", ["pointwise,bayes-scs", "bayes-scs"])
+    def test_bare_bayesian_id_with_no_prior_is_usage_error(self, cli_files, capsys, methods):
+        _, counts, _ = cli_files
+        rc = main(["predict", "--data", counts, "--m", "24", "--methods", methods, "--prior", ""])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: method 'bayes-scs' needs a prior")
+        assert "cauchy, beta" in captured.err
 
     def test_no_clip_flag_is_usage_error(self, cli_files, capsys):
         _, counts, _ = cli_files

@@ -42,7 +42,7 @@ class TestScenario:
         assert s.m == 20
 
     def test_probabilities_normalised_and_frozen(self):
-        s = cheap_scenario(pi_true=(2.0, 1.0, 1.0))
+        s = cheap_scenario(pi_true=(0.52, 0.26, 0.26))  # a sum within [0.9, 1.1]
         np.testing.assert_allclose(s.pi_true, [0.5, 0.25, 0.25])
         with pytest.raises(ValueError):
             s.pi_true[0] = 0.9
@@ -72,6 +72,9 @@ class TestScenario:
             dict(chains=1, methods=("bayes-scs",)),  # split R-hat needs two chains
             dict(chains=1, methods=("pointwise", "bayes-mean-beta")),
             dict(chains=1, methods=("all",)),
+            dict(pi_true=(0.3, 0.3, 4.0)),    # the sum must lie in [0.9, 1.1]
+            dict(pi_true=(30, 30, 40)),
+            dict(pi_true=(0.3, 0.3, 0.2)),
         ],
     )
     def test_rejects_bad_cells(self, kw):
