@@ -100,8 +100,10 @@ def equicoordinate_quantile(
     root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
     n_draws = int(n_draws)
     max_abs = np.empty(n_draws)
+    # One shock buffer serves every block, so its pages fault in once per call.
+    buf = np.empty((min(_MVN_BLOCK, n_draws), root.shape[1]))
     for i in range(0, n_draws, _MVN_BLOCK):
-        shocks = gen.standard_normal((min(_MVN_BLOCK, n_draws - i), root.shape[1]))
+        shocks = gen.standard_normal(out=buf[: min(_MVN_BLOCK, n_draws - i)])
         max_abs[i : i + shocks.shape[0]] = np.abs(root @ shocks.T).max(axis=0)
     return nearest_rank_quantile(max_abs, 1.0 - alpha)
 

@@ -14,6 +14,8 @@ column order statistics at a critical rank.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -52,10 +54,17 @@ __all__ = [
 
 # An ensemble block holds at most 500 replicates and _BLOCK_CELLS table cells,
 # so each per-block table stays near half a MB whatever K*C is.  The block is
-# part of the draw layout: an ensemble larger than one block draws each
-# block's gammas, multinomial and repair integers in turn, so a new block
-# rule moves its bytes.
+# part of the draw layout: block j draws its gammas, multinomial, repair
+# integers and future clusters from substream j of the ensemble stream, so a
+# new block rule moves the bytes of any ensemble larger than one block.
 _BLOCK_CELLS = 1 << 16
+
+# Threads that work ensemble blocks, the calling thread included: one per
+# usable core.  Blocks never share a stream, so the result does not depend on it.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -91,45 +100,81 @@ def build_ensemble(
     ``fit_model`` does, and draws one future cluster of m units with
     the dispersion re-truncated to 97.5% of m.
 
-    The replicates are drawn, repaired and refitted one block at a time,
-    so no B x K x C table is ever held.
+    The replicates are drawn, repaired, refitted and studentised one
+    block at a time, block j from ``rng.child(j)``, so no B x K x C
+    table is ever held.  The blocks run on one thread per usable core
+    and each writes only its own rows, so the bytes are the same for
+    any number of threads.
     """
-    gen = require_stream(rng, "build_ensemble").generator()
+    rng = require_stream(rng, "build_ensemble")
     B = int(B)
     if B < 2:
         raise ValidationError("ensemble needs at least 2 replicates")
     m = spec.m
     sizes = data.cluster_sizes
     C = fit.pi_hat.shape[0]
-
-    # Vectorised refit, replicating fit_model row for row.
-    N_star = np.empty(B)
-    pi_star = np.empty((B, C))
-    phi_raw = np.empty(B)
-    n_min = np.empty(B, dtype=np.int64)
+    phi_future = clamp_dispersion(fit.phi_hat, m) if m >= 2 else fit.phi_hat
+    y_hat_star, sep_star, z = np.empty((B, C)), np.empty((B, C)), np.empty((B, C))
+    y_star = np.empty((B, C), dtype=np.int64)
     block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
-    for i in range(0, B, block):
-        rows = slice(i, i + block)
+
+    def fill(j: int) -> None:
+        gen = rng.child(j).generator()
+        rows = slice(j * block, min((j + 1) * block, B))
+        size = rows.stop - rows.start
         # Looked up in this module's globals at call time, so a wrapper set as
         # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
         # sees every block's draw.
-        counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=min(block, B - i))
+        counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=size)
         repair_zero_columns_in_place(counts, gen)
-        n_star = counts.sum(axis=2)                      # (block, K)
-        N_star[rows] = n_star.sum(axis=1)
-        pi_star[rows] = counts.sum(axis=1) / N_star[rows, None]
-        phi_raw[rows] = pearson_dispersion(counts, pi_star[rows])[2]
-        n_min[rows] = n_star.min(axis=1)
-    phi_star = clamp_dispersion(phi_raw, n_min)
+        # The refit of fit_model, one replicate per row.
+        n_star = counts.sum(axis=2)
+        N_star = n_star.sum(axis=1)
+        pi_star = counts.sum(axis=1) / N_star[:, None]
+        phi_star = clamp_dispersion(pearson_dispersion(counts, pi_star)[2], n_star.min(axis=1))
+        del counts  # freed before the future clusters are drawn
+        y_hat_star[rows] = m * pi_star
+        sep_star[rows] = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
+        y_star[rows] = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size)
+        np.divide(y_star[rows] - y_hat_star[rows], sep_star[rows], out=z[rows])
 
-    y_hat_star = m * pi_star
-    sep_star = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
-
-    phi_future = clamp_dispersion(fit.phi_hat, m) if m >= 2 else fit.phi_hat
-    y_star = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=B)
-
-    z = (y_star - y_hat_star) / sep_star
+    _run_blocks(fill, -(-B // block))
     return BootstrapEnsemble(y_hat_star=y_hat_star, sep_star=sep_star, y_star=y_star, z=z)
+
+
+def _run_blocks(fill, n_blocks: int) -> None:
+    """Call fill(j) for every j < n_blocks on up to _WORKERS threads, the caller's included.
+
+    The threads pull block indices from one shared counter and are joined
+    before return; the first exception any block raised is re-raised
+    here, and the other threads stop after their current block.  With
+    one block or one worker no thread starts.
+    """
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                j = next(blocks, None)
+            if j is None:
+                return
+            try:
+                fill(j)
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_WORKERS, n_blocks) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def asymmetric_multipliers(z: np.ndarray, alpha: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ config's run settings.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 import numpy as np
@@ -104,24 +105,34 @@ def scenario_catalog(
     other keyword (n_iter, B, S, methods, alpha, ...) goes to each
     Scenario unchanged, so the run settings default to Scenario's.
     """
+    return _catalog_cells(("",), seed, clusters, sizes, dispersions, **settings)
+
+
+def _catalog_cells(
+    prefixes: tuple[str, ...],
+    seed: int = 0,
+    clusters: tuple[int, ...] = CLUSTER_GRID,
+    sizes: tuple[int, ...] = SIZE_GRID,
+    dispersions: tuple[float, ...] = DISPERSION_GRID,
+    **settings: Any,
+) -> list[Scenario]:
+    """The catalog cells whose id starts with one of ``prefixes``.
+
+    Only those cells are built, but each keeps the seed it has in the
+    whole catalog.
+    """
+    grid = itertools.product(catalog_vectors().items(), clusters, sizes, dispersions)
+    cells = ((vec_id, pi, K, n, phi) for (vec_id, pi), K, n, phi in grid if phi < n)
     scenarios: list[Scenario] = []
-    for vec_id, pi in catalog_vectors().items():
-        for K in clusters:
-            for n in sizes:
-                for phi in dispersions:
-                    if phi >= n:
-                        continue
-                    scenarios.append(
-                        Scenario(
-                            pi_true=pi,
-                            K=K,
-                            n=n,
-                            phi=phi,
-                            seed=seed + len(scenarios),
-                            scenario_id=f"{vec_id}-K{K}-n{n}-phi{phi:g}",
-                            **settings,
-                        )
-                    )
+    for i, (vec_id, pi, K, n, phi) in enumerate(cells):
+        scenario_id = f"{vec_id}-K{K}-n{n}-phi{phi:g}"
+        if scenario_id.startswith(prefixes):
+            scenarios.append(
+                Scenario(
+                    pi_true=pi, K=K, n=n, phi=phi, seed=seed + i, scenario_id=scenario_id,
+                    **settings,
+                )
+            )
     return scenarios
 
 
@@ -153,8 +164,7 @@ def build_scenarios(cfg: RunConfig) -> list[Scenario]:
         stray = [name for name in ("K", "n", "m", "phi") if getattr(cfg, name) is not None]
         if stray:
             raise ValidationError(f"{', '.join(stray)} set without pi (a custom cell)")
-        prefixes = cfg.scenarios or ("",)
-        scenarios = [s for s in scenario_catalog(**settings) if s.scenario_id.startswith(prefixes)]
+        scenarios = _catalog_cells(cfg.scenarios or ("",), **settings)
         if not scenarios:
             raise ValidationError(f"no scenarios match filters {cfg.scenarios}")
         return scenarios

@@ -231,8 +231,12 @@ def pearson_dispersion(counts: np.ndarray, pi: np.ndarray):
     K, C = counts.shape[-2:]
     expected = counts.sum(axis=-1)[..., :, None] * pi[..., None, :]
     resid = counts - expected
-    chi2 = (resid * resid / expected).sum(axis=(-2, -1))
-    s_bar = (resid / expected).sum(axis=(-2, -1)) / (K * C - K)
+    # In place, so no more than three table-sized arrays are live at once.
+    terms = resid * resid
+    terms /= expected
+    chi2 = terms.sum(axis=(-2, -1))
+    resid /= expected
+    s_bar = resid.sum(axis=(-2, -1)) / (K * C - K)
     denom = 1.0 + s_bar
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_raw = np.where(denom != 0.0, (chi2 / residual_df(K, C)) / denom, np.inf)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,12 +33,15 @@ def small_ensemble(histo_data, histo_fit):
 
 class TestBuildEnsemble:
     def test_mirrors_single_replicate_refit(self, histo_data, histo_fit):
-        """The vectorised refit must agree with fit_model applied row by row."""
+        """The vectorised refit must agree with fit_model applied row by row.
+
+        B=25 is one block, drawn from substream 0 of the ensemble stream.
+        """
         spec = mp.FutureSpec(m=46)
         B = 25
         ens = build_ensemble(histo_fit, histo_data, spec, B=B, rng=mp.RngStream(33))
 
-        gen = mp.RngStream(33).generator()
+        gen = mp.RngStream(33).child(0).generator()
         counts = sample_dm_matrix(
             histo_data.cluster_sizes, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
         )
@@ -74,11 +79,11 @@ class TestBuildEnsemble:
             build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=10), B=1, rng=mp.RngStream(1))
 
     def test_matches_block_by_block_reference(self, histo_data, histo_fit):
-        """Each block draws its counts, then its repair integers; the refit equals a whole-table one.
+        """Block j draws its counts, repair integers and futures from substream j.
 
-        The severity table takes blocks of 500 replicates (B=1234: 500, 500
-        and 234); a K=40, C=20 table takes 65536 // 800 = 81 (B=250: three
-        blocks of 81 and one of 7).
+        The refit equals a whole-table one.  The severity table takes blocks
+        of 500 replicates (B=1234: 500, 500 and 234); a K=40, C=20 table
+        takes 65536 // 800 = 81 (B=250: three blocks of 81 and one of 7).
         """
         wide = mp.generate_dataset(
             40, 30, np.full(20, 0.05), 3.0, mp.RngStream(37).child(0), repair=True
@@ -87,13 +92,15 @@ class TestBuildEnsemble:
         spec, m = mp.FutureSpec(m=46), 46
         for data, fit, B, block in cases:
             ens = build_ensemble(fit, data, spec, B, mp.RngStream(34))
-            gen = mp.RngStream(34).generator()
-            blocks = []
-            for i in range(0, B, block):
+            phi_future = clamp_dispersion(fit.phi_hat, m)
+            blocks, futures = [], []
+            for j, i in enumerate(range(0, B, block)):
+                gen = mp.RngStream(34).child(j).generator()
                 counts = sample_dm_matrix(
                     data.cluster_sizes, fit.pi_hat, fit.phi_hat, gen, size=min(block, B - i)
                 )
                 blocks.append(repair_zero_columns_in_place(counts, gen))
+                futures.append(draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=counts.shape[0]))
             assert len(blocks) >= 3 and blocks[-1].shape[0] < block
             counts = np.concatenate(blocks)
             n_star = counts.sum(axis=2)
@@ -105,8 +112,7 @@ class TestBuildEnsemble:
             y_hat_star = m * pi_star
             var = phi_star[:, None] * m * pi_star * (1.0 - pi_star) * (1.0 + m / N_star[:, None])
             sep_star = np.sqrt(np.maximum(var, 0.0))
-            phi_future = clamp_dispersion(fit.phi_hat, m)
-            y_star = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=B)
+            y_star = np.concatenate(futures)
             z = (y_star - y_hat_star) / sep_star
             pairs = (
                 (ens.y_hat_star, y_hat_star),
@@ -116,6 +122,59 @@ class TestBuildEnsemble:
             )
             for got, want in pairs:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestParallelBlocks:
+    """The blocks run on one thread per usable core; the bytes never depend on it."""
+
+    @pytest.mark.parametrize("B", [30, 1234])
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, histo_data, histo_fit, B):
+        spec = mp.FutureSpec(m=46)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr("mnpred.bootstrap._WORKERS", workers)
+            runs.append(build_ensemble(histo_fit, histo_data, spec, B, mp.RngStream(38)))
+        for name in ("y_hat_star", "sep_star", "y_star", "z"):
+            a, b = (getattr(ens, name) for ens in runs)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch, histo_data, histo_fit):
+        """More workers than cores and a short switch interval: no block is lost or repeated."""
+        spec = mp.FutureSpec(m=46)
+        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 1)
+        want = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
+        sizes = []
+
+        def counted(*args, **kwargs):
+            sizes.append(kwargs["size"])
+            return sample_dm_matrix(*args, **kwargs)
+
+        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 8)
+        monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sizes) == [234] + [500] * 10
+        for name in ("y_hat_star", "sep_star", "y_star", "z"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_block_error_reaches_the_caller(self, monkeypatch, histo_data, histo_fit):
+        """A block's exception is re-raised after every helper thread has been joined."""
+
+        def failing(*args, **kwargs):
+            if kwargs["size"] == 234:
+                raise RuntimeError("block failed")
+            return sample_dm_matrix(*args, **kwargs)
+
+        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 3)
+        monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(39))
+        assert threading.active_count() == before
 
 
 class TestEnsembleMemory:
@@ -161,13 +220,16 @@ class TestEnsembleMemory:
         assert peak < 1.5 * B * K * C * 8
 
     @pytest.mark.parametrize("unequal", [False, True])
-    def test_peak_grows_only_with_the_outputs(self, unequal):
+    def test_peak_grows_only_with_the_outputs(self, monkeypatch, unequal):
         """Doubling B adds (B, C) arrays to the peak, not another (B, K, C) table.
 
         The four (B, C) outputs, the refitted probabilities and a few (B, C)
         temporaries stay under 8 x B*C*8 bytes; a whole table would add
-        K = 50 times more.
+        K = 50 times more.  One worker, because with several the number of
+        block working sets live at the peak depends on how the threads
+        interleave (test_each_worker_adds_at_most_one_block bounds that).
         """
+        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 1)
         K, C = 50, 10
         pi = np.linspace(1.0, 2.0, C)
         sizes = np.where(np.arange(K) % 2 == 1, 60, 50) if unequal else 50
@@ -185,6 +247,31 @@ class TestEnsembleMemory:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * 2000 * C * 8
 
+
+    def test_each_worker_adds_at_most_one_block(self, monkeypatch):
+        """Each extra thread holds one block's working set, not a share of B.
+
+        A block of 131 replicates (65536 // 500 cells) holds its counts and
+        the Pearson temporaries, about four (131, K, C) tables; three
+        workers may add two of those to the one-worker peak, never a
+        (B, K, C) table.
+        """
+        K, C, B = 50, 10, 2000
+        pi = np.linspace(1.0, 2.0, C)
+        root = mp.RngStream(35)
+        data = mp.generate_dataset(K, 50, pi / pi.sum(), 5.0, root.child(0), repair=True)
+        fit = mp.fit_model(data)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for workers in (1, 3):
+                monkeypatch.setattr("mnpred.bootstrap._WORKERS", workers)
+                tracemalloc.reset_peak()
+                build_ensemble(fit, data, mp.FutureSpec(m=50), B, root.child(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 5 * 131 * K * C * 8
 
 def test_ensemble_draw_goes_through_the_module_global(monkeypatch, histo_data, histo_fit):
     """perfbench times the ensemble draw by wrapping bootstrap.sample_dm_matrix."""

@@ -23,8 +23,8 @@ GENERATE = [
 FREQUENTIST = "pointwise,bonferroni,mvn,symmetric,asymmetric,marginal,masr,rank-scs"
 SMALL = ["--B", "500", "--mvn-draws", "5000", "--chains", "2", "--sampling", "500", "--seed", "0"]
 # A K=80, C=10 table: its 800 cells give ensemble blocks of 81 replicates, so
-# B=1000 draws twelve blocks of 81 and one of 28, and pins the block rule.
-# Every other digest here fits in one block.
+# B=1000 draws twelve blocks of 81 and one of 28, each from its own substream,
+# and pins the block rule.  Every other digest here fits in one block.
 WIDE = [
     "generate", "--K", "80", "--n", "30", "--phi", "3",
     "--pi", ",".join(["0.1"] * 10), "--seed", "1",
@@ -32,10 +32,10 @@ WIDE = [
 BOOTSTRAP = "symmetric,asymmetric,marginal,masr,rank-scs"
 
 DIGESTS = {
-    "predict-frequentist": "sha256:d388351ac828a77095daf97a3f92d8e1e7759d2ad6dd5abbfb90820224969d3d",
-    "predict-all": "sha256:430fb8366616e3f03b04712f29a28ae12a6ce3d4d888a6c6d7f048c88734be90",
+    "predict-frequentist": "sha256:a4f530dc5d075510c2c2d75d5fc2b7b4b0a19f6f115371672080bc7b79f100da",
+    "predict-all": "sha256:5b217b9e92ac8e51bcacfe9075a6bea5a310f4be58546949e18c40121b488f60",
     "simulate-cell": "sha256:1a17b5e15a5780b4f1ae4f9e50e8b02cab6f67a068b572952de09a3ab5e975ae",
-    "predict-blocks": "sha256:3b0f745891452b5106c1aa98e1b893a00591b82ee2f3413f35097df3355db143",
+    "predict-blocks": "sha256:0ce7b230571abad1498038e60e3fc2bae23329784059f167205fda71e6afcabf",
 }
 
 

@@ -658,8 +658,8 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-def test_no_module_imports_scipy():
-    """scipy stays out of the program, not just out of the CLI's import graph."""
+def program_imports():
+    """(file:line, module) of every absolute import in the package's modules."""
     found = []
     for path in sorted(Path(mp.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -669,8 +669,21 @@ def test_no_module_imports_scipy():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
-    assert found == []
+            found += [(f"{path.name}:{node.lineno}", n) for n in names]
+    return found
+
+
+def test_no_module_imports_scipy():
+    """scipy stays out of the program, not just out of the CLI's import graph."""
+    assert [at for at, name in program_imports() if name.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_imports_a_worker_pool():
+    """The ensemble's blocks run on plain threads: importing concurrent.futures
+    alone costs about 0.4 MB of resident memory, and multiprocessing would copy
+    the whole interpreter per worker."""
+    barred = ("concurrent", "multiprocessing")
+    assert [at for at, name in program_imports() if name.split(".")[0] in barred] == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):

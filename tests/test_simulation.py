@@ -291,6 +291,21 @@ class TestBuildScenarios:
         ]
         assert moved == ["C5-03"]
 
+    @pytest.mark.parametrize(
+        "prefixes", [("C5-05-K10-n50-phi5",), ("C10-", "C3-02"), ("C3-12-K100",)]
+    )
+    def test_filter_keeps_whole_catalog_seeds(self, prefixes):
+        """Only the selected cells are built, each with its seed in the whole catalog."""
+        got = build_scenarios(RunConfig(scenarios=prefixes, **NON_DEFAULT))
+        want = [s for s in scenario_catalog(**NON_DEFAULT) if s.scenario_id.startswith(prefixes)]
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            for f in fields(Scenario):
+                if f.name == "pi_true":
+                    assert a.pi_true.tobytes() == b.pi_true.tobytes(), a.scenario_id
+                else:
+                    assert getattr(a, f.name) == getattr(b, f.name), (a.scenario_id, f.name)
+
     def test_defaults_keep_catalog_cells(self):
         cells = build_scenarios(RunConfig(scenarios=("C3-01-K5-n10-phi1.01",)))
         assert [s.scenario_id for s in cells] == ["C3-01-K5-n10-phi1.01"]
