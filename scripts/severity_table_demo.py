@@ -22,6 +22,7 @@ from mnpred import (
 )
 from mnpred.dm import sample_dm_counts
 from mnpred.methods import compute_intervals, resolve_methods
+from mnpred.model import PREDICT_DEFAULTS
 
 SEVERITY_PI = (0.224, 0.466, 0.273, 0.031, 0.004)
 SEVERITY_PHI = 3.19
@@ -32,10 +33,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--methods", default="all")
-    ap.add_argument("--B", type=int, default=10_000)
-    ap.add_argument("--chains", type=int, default=4)
-    ap.add_argument("--sampling", type=int, default=2500)
-    ap.add_argument("--warmup", type=int, default=1000)
+    ap.add_argument("--B", type=int, default=PREDICT_DEFAULTS.B)
+    ap.add_argument("--chains", type=int, default=PREDICT_DEFAULTS.chains)
+    ap.add_argument("--sampling", type=int, default=PREDICT_DEFAULTS.sampling_iters)
     args = ap.parse_args(argv)
 
     root = RngStream(args.seed)
@@ -58,8 +58,7 @@ def main(argv=None):
     )
     sets = compute_intervals(
         data, fit, spec, requests, root.child(2),
-        B=args.B, chains=args.chains,
-        sampling_iters=args.sampling, warmup=args.warmup,
+        B=args.B, chains=args.chains, sampling_iters=args.sampling,
     )
 
     width = max(len(m) for m in sets) + 2

@@ -69,20 +69,9 @@ except AttributeError:
 
 @dataclass(frozen=True)
 class BootstrapEnsemble:
-    """Refitted predictions, futures, and studentised residuals, one row per replicate."""
+    """Studentised residuals z_b = (y*_b - y_hat*_b) / sep*_b, one row per replicate."""
 
-    y_hat_star: np.ndarray
-    sep_star: np.ndarray
-    y_star: np.ndarray
     z: np.ndarray
-
-    @property
-    def n_replicates(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def n_categories(self) -> int:
-        return self.z.shape[1]
 
 
 def build_ensemble(
@@ -102,7 +91,8 @@ def build_ensemble(
 
     The replicates are drawn, repaired, refitted and studentised one
     block at a time, block j from ``rng.child(j)``, so no B x K x C
-    table is ever held.  The blocks run on one thread per usable core
+    table is ever held; a block's refit and futures are dropped once
+    its rows of z are written.  The blocks run on one thread per usable core
     and each writes only its own rows, so the bytes are the same for
     any number of threads.
     """
@@ -114,8 +104,7 @@ def build_ensemble(
     sizes = data.cluster_sizes
     C = fit.pi_hat.shape[0]
     phi_future = clamp_dispersion(fit.phi_hat, m) if m >= 2 else fit.phi_hat
-    y_hat_star, sep_star, z = np.empty((B, C)), np.empty((B, C)), np.empty((B, C))
-    y_star = np.empty((B, C), dtype=np.int64)
+    z = np.empty((B, C))
     block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
 
     def fill(j: int) -> None:
@@ -133,13 +122,12 @@ def build_ensemble(
         pi_star = counts.sum(axis=1) / N_star[:, None]
         phi_star = clamp_dispersion(pearson_dispersion(counts, pi_star)[2], n_star.min(axis=1))
         del counts  # freed before the future clusters are drawn
-        y_hat_star[rows] = m * pi_star
-        sep_star[rows] = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
-        y_star[rows] = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size)
-        np.divide(y_star[rows] - y_hat_star[rows], sep_star[rows], out=z[rows])
+        sep = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
+        y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size)
+        np.divide(y - m * pi_star, sep, out=z[rows])
 
     _run_blocks(fill, -(-B // block))
-    return BootstrapEnsemble(y_hat_star=y_hat_star, sep_star=sep_star, y_star=y_star, z=z)
+    return BootstrapEnsemble(z=z)
 
 
 def _run_blocks(fill, n_blocks: int) -> None:

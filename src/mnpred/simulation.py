@@ -153,10 +153,6 @@ class SimulationReport:
     n_failed: int
     runtime_seconds: float
 
-    @property
-    def min_expected_count(self) -> float:
-        return self.scenario.min_expected_count
-
 
 @dataclass(frozen=True)
 class TailBalanceRow:

@@ -31,6 +31,33 @@ def small_ensemble(histo_data, histo_fit):
     return build_ensemble(histo_fit, histo_data, spec, B=2000, rng=mp.RngStream(21))
 
 
+def block_reference(data, fit, m, B, block, seed):
+    """(y_hat*, sep*, y*) drawn block by block from substream j, refitted as one table.
+
+    Block j draws its counts, repair integers and futures from
+    ``RngStream(seed).child(j)``; the dispersion clamp and the standard
+    error are written out from their formulas, not taken from the package.
+    """
+    phi_future = clamp_dispersion(fit.phi_hat, m)
+    blocks, futures = [], []
+    for j, i in enumerate(range(0, B, block)):
+        gen = mp.RngStream(seed).child(j).generator()
+        counts = sample_dm_matrix(
+            data.cluster_sizes, fit.pi_hat, fit.phi_hat, gen, size=min(block, B - i)
+        )
+        blocks.append(repair_zero_columns_in_place(counts, gen))
+        futures.append(draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=counts.shape[0]))
+    counts = np.concatenate(blocks)
+    n_star = counts.sum(axis=2)
+    N_star = n_star.sum(axis=1).astype(float)
+    pi_star = counts.sum(axis=1) / N_star[:, None]
+    phi_raw = pearson_dispersion(counts, pi_star)[2]
+    cap = 0.975 * n_star.min(axis=1)
+    phi_star = np.where(phi_raw > 1.0, np.minimum(phi_raw, cap), 1.01)
+    var = phi_star[:, None] * m * pi_star * (1.0 - pi_star) * (1.0 + m / N_star[:, None])
+    return m * pi_star, np.sqrt(np.maximum(var, 0.0)), np.concatenate(futures)
+
+
 class TestBuildEnsemble:
     def test_mirrors_single_replicate_refit(self, histo_data, histo_fit):
         """The vectorised refit must agree with fit_model applied row by row.
@@ -46,33 +73,34 @@ class TestBuildEnsemble:
             histo_data.cluster_sizes, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
         )
         repair_zero_columns_in_place(counts, gen)
-        for b in range(B):
-            fit_b = mp.fit_model(mp.HistoricalDataset(counts[b]))
-            point_b = mp.prediction_point(fit_b, spec)
-            np.testing.assert_allclose(ens.y_hat_star[b], point_b.y_hat, rtol=1e-10)
-            np.testing.assert_allclose(ens.sep_star[b], point_b.sep, rtol=1e-10)
         y_star = draw_dm_counts(
             spec.m, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
         )
-        np.testing.assert_array_equal(ens.y_star, y_star)
-        np.testing.assert_allclose(
-            ens.z, (y_star - ens.y_hat_star) / ens.sep_star, rtol=1e-12
-        )
+        for b in range(B):
+            fit_b = mp.fit_model(mp.HistoricalDataset(counts[b]))
+            point_b = mp.prediction_point(fit_b, spec)
+            np.testing.assert_allclose(
+                ens.z[b], (y_star[b] - point_b.y_hat) / point_b.sep, rtol=1e-10
+            )
 
-    def test_shapes_and_row_sums(self, small_ensemble):
-        assert small_ensemble.n_replicates == 2000
-        assert small_ensemble.n_categories == 5
-        np.testing.assert_array_equal(small_ensemble.y_star.sum(axis=1), 46)
-        assert np.all(np.isfinite(small_ensemble.z))
+    def test_shapes_and_row_sums(self, histo_data, histo_fit, small_ensemble):
+        """y* = y_hat* + z * sep* recovers whole future clusters of 46 units."""
+        z = small_ensemble.z
+        assert z.shape == (2000, 5) and z.dtype == np.float64
+        assert np.all(np.isfinite(z))
+        y_hat_star, sep_star, _ = block_reference(histo_data, histo_fit, 46, 2000, 500, 21)
+        y = y_hat_star + z * sep_star
+        np.testing.assert_allclose(y, np.rint(y), atol=1e-9)
+        assert np.all(np.rint(y) >= 0.0)
+        np.testing.assert_array_equal(np.rint(y).sum(axis=1), 46)
 
     def test_deterministic(self, histo_data, histo_fit):
         spec = mp.FutureSpec(m=20)
         a = build_ensemble(histo_fit, histo_data, spec, B=30, rng=mp.RngStream(5).child(2))
         b = build_ensemble(histo_fit, histo_data, spec, B=30, rng=mp.RngStream(5).child(2))
         c = build_ensemble(histo_fit, histo_data, spec, B=30, rng=mp.RngStream(5).child(3))
-        np.testing.assert_array_equal(a.y_star, b.y_star)
-        np.testing.assert_allclose(a.z, b.z, rtol=0)
-        assert not np.array_equal(a.y_star, c.y_star)
+        assert a.z.tobytes() == b.z.tobytes()
+        assert not np.array_equal(a.z, c.z)
 
     def test_rejects_tiny_ensemble(self, histo_data, histo_fit):
         with pytest.raises(ValidationError):
@@ -91,37 +119,11 @@ class TestBuildEnsemble:
         cases = ((histo_data, histo_fit, 1234, 500), (wide, mp.fit_model(wide), 250, 81))
         spec, m = mp.FutureSpec(m=46), 46
         for data, fit, B, block in cases:
+            assert -(-B // block) >= 3 and B % block  # a short last block
             ens = build_ensemble(fit, data, spec, B, mp.RngStream(34))
-            phi_future = clamp_dispersion(fit.phi_hat, m)
-            blocks, futures = [], []
-            for j, i in enumerate(range(0, B, block)):
-                gen = mp.RngStream(34).child(j).generator()
-                counts = sample_dm_matrix(
-                    data.cluster_sizes, fit.pi_hat, fit.phi_hat, gen, size=min(block, B - i)
-                )
-                blocks.append(repair_zero_columns_in_place(counts, gen))
-                futures.append(draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=counts.shape[0]))
-            assert len(blocks) >= 3 and blocks[-1].shape[0] < block
-            counts = np.concatenate(blocks)
-            n_star = counts.sum(axis=2)
-            N_star = n_star.sum(axis=1).astype(float)
-            pi_star = counts.sum(axis=1) / N_star[:, None]
-            phi_raw = pearson_dispersion(counts, pi_star)[2]
-            cap = 0.975 * n_star.min(axis=1)
-            phi_star = np.where(phi_raw > 1.0, np.minimum(phi_raw, cap), 1.01)
-            y_hat_star = m * pi_star
-            var = phi_star[:, None] * m * pi_star * (1.0 - pi_star) * (1.0 + m / N_star[:, None])
-            sep_star = np.sqrt(np.maximum(var, 0.0))
-            y_star = np.concatenate(futures)
+            y_hat_star, sep_star, y_star = block_reference(data, fit, m, B, block, 34)
             z = (y_star - y_hat_star) / sep_star
-            pairs = (
-                (ens.y_hat_star, y_hat_star),
-                (ens.sep_star, sep_star),
-                (ens.y_star, y_star),
-                (ens.z, z),
-            )
-            for got, want in pairs:
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert ens.z.dtype == z.dtype and ens.z.tobytes() == z.tobytes()
 
 
 class TestParallelBlocks:
@@ -134,9 +136,8 @@ class TestParallelBlocks:
         for workers in (1, 3):
             monkeypatch.setattr("mnpred.bootstrap._WORKERS", workers)
             runs.append(build_ensemble(histo_fit, histo_data, spec, B, mp.RngStream(38)))
-        for name in ("y_hat_star", "sep_star", "y_star", "z"):
-            a, b = (getattr(ens, name) for ens in runs)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        a, b = (ens.z for ens in runs)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_every_block_runs_once_under_contention(self, monkeypatch, histo_data, histo_fit):
         """More workers than cores and a short switch interval: no block is lost or repeated."""
@@ -158,8 +159,7 @@ class TestParallelBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(sizes) == [234] + [500] * 10
-        for name in ("y_hat_star", "sep_star", "y_star", "z"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.z.tobytes() == want.z.tobytes()
 
     def test_block_error_reaches_the_caller(self, monkeypatch, histo_data, histo_fit):
         """A block's exception is re-raised after every helper thread has been joined."""
@@ -223,8 +223,8 @@ class TestEnsembleMemory:
     def test_peak_grows_only_with_the_outputs(self, monkeypatch, unequal):
         """Doubling B adds (B, C) arrays to the peak, not another (B, K, C) table.
 
-        The four (B, C) outputs, the refitted probabilities and a few (B, C)
-        temporaries stay under 8 x B*C*8 bytes; a whole table would add
+        The (B, C) residuals and one block's refit and futures stay well
+        under 8 x B*C*8 bytes; a whole table would add
         K = 50 times more.  One worker, because with several the number of
         block working sets live at the peak depends on how the threads
         interleave (test_each_worker_adds_at_most_one_block bounds that).
@@ -247,6 +247,26 @@ class TestEnsembleMemory:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * 2000 * C * 8
 
+    def test_keeps_only_the_residual_table(self, monkeypatch):
+        """The ensemble's only (B, C) array is z; the refit and futures die with their block.
+
+        With the refitted predictions, standard errors and futures also
+        kept whole, the peak would pass four (B, C) float tables.
+        """
+        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 1)
+        K, n, C, B = 10, 50, 10, 10_000
+        pi = np.linspace(1.0, 2.0, C)
+        root = mp.RngStream(35)
+        data = mp.generate_dataset(K, n, pi / pi.sum(), 5.0, root.child(0), repair=True)
+        fit = mp.fit_model(data)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            build_ensemble(fit, data, mp.FutureSpec(m=n), B, root.child(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * B * C * 8
 
     def test_each_worker_adds_at_most_one_block(self, monkeypatch):
         """Each extra thread holds one block's working set, not a share of B.

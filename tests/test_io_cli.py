@@ -1,11 +1,11 @@
 import ast
+import importlib.util
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from mnpred.io import (
     simulation_rows,
     write_text,
 )
-from mnpred.methods import compute_intervals
+from mnpred.methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
 from mnpred.model import PREDICT_DEFAULTS
 from mnpred.simulation import Scenario, run_simulation
 
@@ -316,28 +316,59 @@ class TestCliPredict:
         assert default(mvn_interval, "n_draws") == d.mvn_draws
         assert default(equicoordinate_quantile, "n_draws") == d.mvn_draws
 
-    def test_benchmark_worker_interface(self, cli_files, tmp_path, capsys):
-        """What perfbench/worker.py drives stays accepted: predict_argv's
-        sampler flags, catalog_cell's Scenario fields, and the draws'
-        rhat and accept_rates that a traced run reads."""
-        _, counts, _ = cli_files
-        out = str(tmp_path / "intervals.csv")
-        rc = main([
-            "predict", "--data", counts, "--m", "24", "--methods", "all", "--seed", "1",
-            "--B", "200", "--chains", "4", "--sampling", "2500", "--warmup", "1000",
-            "--mvn-draws", "100000", "--alpha", "0.05", "--prior", "cauchy", "--out", out,
-        ])
-        assert rc == 0, capsys.readouterr().err
-        assert len(read_rows_csv(out)) == 11 * 4
+    def test_benchmark_worker_interface(self, cli_files, tmp_path):
+        """perfbench/worker.py, loaded unedited, runs its own calls on this package.
+
+        Loading it fails if any name it imports is gone.  Its predict call,
+        its simulate call on the catalog cell it builds and its traced
+        replica of compute_intervals must run cleanly, the replica must
+        match the real call, and the draws keep the rhat and accept_rates
+        that a traced run reads.
+        """
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        _, counts, future = cli_files
+        settings = {
+            "B": 200, "chains": 4, "sampling": 2500, "warmup": 1000,
+            "mvn_draws": 100_000, "alpha": 0.05, "prior": "cauchy",
+        }
+        job = {
+            "work": str(tmp_path), "data": counts, "future": future, "m": 24,
+            "methods": "all", "seed": 1, "settings": settings,
+            "expect": [r.output_id for r in resolve_methods(("all",), ("cauchy",))],
+            "categories": ["A", "B", "C", "D"],
+        }
+        rep = worker.predict_call(job)
+        assert (rep["error"], rep["problems"]) == (None, [])
+        assert len(job["expect"]) == 11
+
+        config = put(
+            tmp_path, "simulate.cfg",
+            "scenarios = C5-05-K10-n50-phi5\n"
+            f"methods = {','.join(FREQUENTIST_METHODS)}\n"
+            "n_iter = 3\nB = 200\nseed = 1\n",
+        )
+        cell = worker.catalog_cell(parse_config(config))
+        rep = worker.simulate_call({"work": str(tmp_path)}, cell)
+        assert (rep["error"], rep["problems"], rep["completed"]) == (None, [], 3)
+
+        data = parse_counts_csv(counts)
+        fit, fspec = mp.fit_model(data), mp.FutureSpec(m=24)
+        requests = resolve_methods(FREQUENTIST_METHODS, ("cauchy",))
+        replica = worker.Replica(worker.Tracer(), 200, 100_000, 4, 2500, 1000)
+        replayed = replica.intervals(data, fit, fspec, requests, mp.RngStream(1))
+        real = compute_intervals(data, fit, fspec, requests, mp.RngStream(1), B=200)
+        assert len(real) == len(FREQUENTIST_METHODS) and worker.same_intervals(replayed, real)
+
         draws = mcmc_sample(
-            parse_counts_csv(counts), mp.PriorChoice.half_cauchy(), mp.RngStream(1).child(2),
+            data, mp.PriorChoice.half_cauchy(), mp.RngStream(1).child(2),
             chains=4, sampling_iters=2500, warmup=1000,
         )
         assert draws.rhat.shape == (5,) and np.all(np.isfinite(draws.rhat))
         assert draws.accept_rates.shape == (4,)
         assert np.all((draws.accept_rates > 0.0) & (draws.accept_rates <= 1.0))
-        cell = replace(mp.scenario_catalog()[0], chains=2, warmup=1000, mvn_draws=100_000)
-        assert (cell.chains, cell.warmup, cell.mvn_draws) == (2, 1000, 100_000)
 
     def test_generated_inputs_parse(self, cli_files):
         _, counts, future = cli_files
