@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .empirical import nearest_rank_quantile
+from .empirical import nearest_rank_in_place
 from .errors import NotPSD, ValidationError
 from .model import (
     PREDICT_DEFAULTS,
@@ -83,9 +83,10 @@ def equicoordinate_quantile(
     The correlation may be singular, so draws are built from the
     eigendecomposition with near-zero eigenvalues dropped.  The shocks
     are drawn in blocks of ``_MVN_BLOCK`` rows, in the order of one
-    (n_draws, rank) draw, and each block keeps only max|Z| per draw, so
-    the traced peak is about 3.5 x n_draws * 8 bytes at C = 10 (the
-    max|Z| vector, the quantile's partition copy and one block).
+    (n_draws, rank) draw, and each block keeps only max|Z| per draw.
+    One shock buffer and one (C, block) product buffer serve every
+    block, and the quantile partitions the max|Z| vector in place, so
+    the traced peak is the max|Z| vector plus those two buffers.
     """
     gen = require_stream(rng, "equicoordinate_quantile").generator()
     corr = np.asarray(corr, dtype=float)
@@ -100,12 +101,16 @@ def equicoordinate_quantile(
     root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
     n_draws = int(n_draws)
     max_abs = np.empty(n_draws)
-    # One shock buffer serves every block, so its pages fault in once per call.
-    buf = np.empty((min(_MVN_BLOCK, n_draws), root.shape[1]))
+    # The buffers serve every block, so their pages fault in once per call.
+    block = min(_MVN_BLOCK, n_draws)
+    buf = np.empty((block, root.shape[1]))
+    prod = np.empty((root.shape[0], block))
     for i in range(0, n_draws, _MVN_BLOCK):
-        shocks = gen.standard_normal(out=buf[: min(_MVN_BLOCK, n_draws - i)])
-        max_abs[i : i + shocks.shape[0]] = np.abs(root @ shocks.T).max(axis=0)
-    return nearest_rank_quantile(max_abs, 1.0 - alpha)
+        j = min(i + _MVN_BLOCK, n_draws)
+        shocks = gen.standard_normal(out=buf[: j - i])
+        z = np.matmul(root, shocks.T, out=prod[:, : j - i])
+        np.abs(z, out=z).max(axis=0, out=max_abs[i:j])
+    return nearest_rank_in_place(max_abs, 1.0 - alpha)
 
 
 def pointwise_interval(fit: ModelFit, spec: FutureSpec) -> PredictionIntervalSet:

@@ -14,8 +14,6 @@ column order statistics at a critical rank.
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +33,7 @@ from .model import (
     prediction_se,
     scaled_interval_set,
 )
+from .pool import run_each
 from .rng import RngStream, require_stream
 
 __all__ = [
@@ -58,13 +57,6 @@ __all__ = [
 # integers and future clusters from substream j of the ensemble stream, so a
 # new block rule moves the bytes of any ensemble larger than one block.
 _BLOCK_CELLS = 1 << 16
-
-# Threads that work ensemble blocks, the calling thread included: one per
-# usable core.  Blocks never share a stream, so the result does not depend on it.
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:
-    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -92,9 +84,9 @@ def build_ensemble(
     The replicates are drawn, repaired, refitted and studentised one
     block at a time, block j from ``rng.child(j)``, so no B x K x C
     table is ever held; a block's refit and futures are dropped once
-    its rows of z are written.  The blocks run on one thread per usable core
-    and each writes only its own rows, so the bytes are the same for
-    any number of threads.
+    its rows of z are written.  The blocks run on the package's thread
+    pool (inline when the caller is already a pool task) and each writes
+    only its own rows, so the bytes are the same for any number of threads.
     """
     rng = require_stream(rng, "build_ensemble")
     B = int(B)
@@ -126,43 +118,8 @@ def build_ensemble(
         y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size)
         np.divide(y - m * pi_star, sep, out=z[rows])
 
-    _run_blocks(fill, -(-B // block))
+    run_each(fill, -(-B // block))
     return BootstrapEnsemble(z=z)
-
-
-def _run_blocks(fill, n_blocks: int) -> None:
-    """Call fill(j) for every j < n_blocks on up to _WORKERS threads, the caller's included.
-
-    The threads pull block indices from one shared counter and are joined
-    before return; the first exception any block raised is re-raised
-    here, and the other threads stop after their current block.  With
-    one block or one worker no thread starts.
-    """
-    blocks = iter(range(n_blocks))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        while not errors:
-            with lock:
-                j = next(blocks, None)
-            if j is None:
-                return
-            try:
-                fill(j)
-            except BaseException as exc:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=work) for _ in range(min(_WORKERS, n_blocks) - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def asymmetric_multipliers(z: np.ndarray, alpha: float) -> tuple[float, float]:

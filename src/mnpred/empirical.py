@@ -9,7 +9,22 @@ import numpy as np
 
 from .errors import DegenerateRankWarning, ValidationError
 
-__all__ = ["nearest_rank_quantile", "max_abs_quantile", "RankSummary", "rank_summary"]
+__all__ = [
+    "nearest_rank_quantile",
+    "nearest_rank_in_place",
+    "max_abs_quantile",
+    "RankSummary",
+    "rank_summary",
+]
+
+
+def _nearest_rank_index(n: int, p: float) -> int:
+    """Zero-based position k - 1 of the nearest-rank p quantile, k = ceil(p*n), in a sample of n."""
+    if n == 0:
+        raise ValidationError("quantile of an empty sample")
+    if not 0.0 < p <= 1.0:
+        raise ValidationError(f"quantile level must lie in (0, 1], got {p}")
+    return min(max(int(np.ceil(p * n)), 1), n) - 1
 
 
 def nearest_rank_quantile(values, p: float) -> float | np.ndarray:
@@ -19,17 +34,23 @@ def nearest_rank_quantile(values, p: float) -> float | np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     columns = values.T if values.ndim == 2 else values.reshape(1, -1)
-    n = columns.shape[1]
-    if n == 0:
-        raise ValidationError("quantile of an empty sample")
-    if not 0.0 < p <= 1.0:
-        raise ValidationError(f"quantile level must lie in (0, 1], got {p}")
-    k = min(max(int(np.ceil(p * n)), 1), n)
+    k = _nearest_rank_index(columns.shape[1], p)
     # Each column is partitioned as its own contiguous copy, which measured
     # fastest: along axis 0 of the B x C array it is about 3x slower, and
     # through one transposed B x C copy about 2x.
-    out = np.array([np.partition(col, k - 1)[k - 1] for col in columns])
+    out = np.array([np.partition(col, k)[k] for col in columns])
     return out if values.ndim == 2 else float(out[0])
+
+
+def nearest_rank_in_place(values: np.ndarray, p: float) -> float:
+    """``nearest_rank_quantile`` of a 1-D float array, read by partitioning the array itself.
+
+    Saves the partition copy; the array is left reordered, so pass only a
+    private scratch vector.
+    """
+    k = _nearest_rank_index(values.shape[0], p)
+    values.partition(k)
+    return float(values[k])
 
 
 def max_abs_quantile(z: np.ndarray, alpha: float) -> float:

@@ -21,6 +21,7 @@ from .dm import generate_dataset, sample_dm_counts
 from .errors import FailureCapError, MnpredError, ValidationError
 from .methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
 from .model import FutureSpec, fit_model
+from .pool import run_each
 from .rng import RngStream
 
 __all__ = [
@@ -152,6 +153,8 @@ class SimulationReport:
     n_completed: int
     n_failed: int
     runtime_seconds: float
+    # Failed iterations by exception class name; the counts sum to n_failed.
+    failures: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,11 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
 
     Iteration i draws all of its randomness from substreams of
     (seed, i), so any subset of iterations can be reproduced in
-    isolation and results are independent of scheduling.  Iterations
-    that fail (for example a zero category with repair disabled) are
-    skipped and counted, up to a cap of 5% of n_iter.
+    isolation and results are independent of scheduling.  The iterations
+    run on the package's thread pool, and their results are merged in
+    iteration order.  Iterations that fail (for example a zero category
+    with repair disabled) are skipped and counted by exception class, up
+    to a cap of 5% of n_iter.
     """
     t0 = time.perf_counter()
     requests = resolve_methods(scenario.methods, scenario.priors)
@@ -189,9 +194,16 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
     }
     root = RngStream(scenario.seed)
     spec = FutureSpec(m=scenario.m, alpha=scenario.alpha)
-    n_failed = 0
-    n_completed = 0
-    for i in range(scenario.n_iter):
+    # Slot i holds iteration i's per-method (y < lower, y > upper) masks, or
+    # the class name of the MnpredError it raised (not the error, whose
+    # traceback would keep the iteration's arrays alive).
+    results: list = [None] * scenario.n_iter
+    failed: list[int] = []
+    cap = _FAILURE_CAP * scenario.n_iter
+
+    def iterate(i: int) -> None:
+        if len(failed) > cap:
+            return  # the merge below raises FailureCapError whatever this slot holds
         it = root.child(i)
         try:
             data = generate_dataset(
@@ -218,19 +230,37 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
                 sampling_iters=scenario.sampling_iters,
                 warmup=scenario.warmup,
             )
-        except MnpredError:
+        except MnpredError as exc:
+            results[i] = type(exc).__name__
+            failed.append(i)
+            return
+        results[i] = {
+            method_id: (y < intervals.lower, y > intervals.upper)
+            for method_id, intervals in sets.items()
+        }
+
+    run_each(iterate, scenario.n_iter)
+    failures: dict[str, int] = {}
+    n_failed = 0
+    n_completed = 0
+    # Merged in iteration order, so the failure cap trips at the same
+    # iteration, with the same message, whatever the number of threads.
+    # Slots stay empty only once more than the cap have failed.
+    for result in results:
+        if result is None:
+            continue
+        if isinstance(result, str):
+            failures[result] = failures.get(result, 0) + 1
             n_failed += 1
-            if n_failed > _FAILURE_CAP * scenario.n_iter:
+            if n_failed > cap:
                 raise FailureCapError(
                     f"{n_failed} of {scenario.n_iter} iterations failed "
                     f"(cap {_FAILURE_CAP:.0%}) in scenario {scenario.scenario_id}"
-                ) from None
+                )
             continue
         n_completed += 1
-        for method_id, intervals in sets.items():
+        for method_id, (below, above) in result.items():
             out = outcomes[method_id]
-            below = y < intervals.lower
-            above = y > intervals.upper
             out.n_eval += 1
             out.contained += int(not (below.any() or above.any()))
             out.below_lower += below
@@ -241,6 +271,7 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
         n_completed=n_completed,
         n_failed=n_failed,
         runtime_seconds=time.perf_counter() - t0,
+        failures=failures,
     )
 
 

@@ -134,7 +134,7 @@ class TestParallelBlocks:
         spec = mp.FutureSpec(m=46)
         runs = []
         for workers in (1, 3):
-            monkeypatch.setattr("mnpred.bootstrap._WORKERS", workers)
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
             runs.append(build_ensemble(histo_fit, histo_data, spec, B, mp.RngStream(38)))
         a, b = (ens.z for ens in runs)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -142,7 +142,7 @@ class TestParallelBlocks:
     def test_every_block_runs_once_under_contention(self, monkeypatch, histo_data, histo_fit):
         """More workers than cores and a short switch interval: no block is lost or repeated."""
         spec = mp.FutureSpec(m=46)
-        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 1)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         want = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
         sizes = []
 
@@ -150,7 +150,7 @@ class TestParallelBlocks:
             sizes.append(kwargs["size"])
             return sample_dm_matrix(*args, **kwargs)
 
-        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 8)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 8)
         monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -169,7 +169,7 @@ class TestParallelBlocks:
                 raise RuntimeError("block failed")
             return sample_dm_matrix(*args, **kwargs)
 
-        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 3)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 3)
         monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
@@ -229,7 +229,7 @@ class TestEnsembleMemory:
         block working sets live at the peak depends on how the threads
         interleave (test_each_worker_adds_at_most_one_block bounds that).
         """
-        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 1)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         K, C = 50, 10
         pi = np.linspace(1.0, 2.0, C)
         sizes = np.where(np.arange(K) % 2 == 1, 60, 50) if unequal else 50
@@ -253,7 +253,7 @@ class TestEnsembleMemory:
         With the refitted predictions, standard errors and futures also
         kept whole, the peak would pass four (B, C) float tables.
         """
-        monkeypatch.setattr("mnpred.bootstrap._WORKERS", 1)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         K, n, C, B = 10, 50, 10, 10_000
         pi = np.linspace(1.0, 2.0, C)
         root = mp.RngStream(35)
@@ -285,7 +285,7 @@ class TestEnsembleMemory:
         tracemalloc.start()
         try:
             for workers in (1, 3):
-                monkeypatch.setattr("mnpred.bootstrap._WORKERS", workers)
+                monkeypatch.setattr("mnpred.pool._WORKERS", workers)
                 tracemalloc.reset_peak()
                 build_ensemble(fit, data, mp.FutureSpec(m=50), B, root.child(1))
                 peaks.append(tracemalloc.get_traced_memory()[1])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mnpred as mp
-from mnpred.empirical import nearest_rank_quantile, rank_summary
+from mnpred.empirical import nearest_rank_in_place, nearest_rank_quantile, rank_summary
 from mnpred.errors import DegenerateRankWarning, ValidationError
 
 
@@ -56,6 +56,7 @@ class TestNearestRank:
             for p in (0.001, 0.05, 0.5, 0.9, 0.95, 0.999, 1.0):
                 k = min(max(int(np.ceil(p * n)), 1), n)
                 np.testing.assert_equal(nearest_rank_quantile(values, p), srt[k - 1])
+                np.testing.assert_equal(nearest_rank_in_place(values.copy(), p), srt[k - 1])
 
     @pytest.mark.parametrize("kind", ["random", "ties", "integer", "nan"])
     def test_columns_match_one_dimensional_calls(self, kind):

@@ -1,3 +1,6 @@
+import sys
+import threading
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,8 +18,9 @@ from mnpred.catalog import (
     catalog_vectors,
     scenario_catalog,
 )
+from mnpred.dm import generate_dataset, sample_dm_matrix
 from mnpred.errors import FailureCapError, ValidationError
-from mnpred.io import RunConfig
+from mnpred.io import SIMULATION_COLUMNS, RunConfig, rows_to_csv, simulation_rows
 from mnpred.methods import FREQUENTIST_METHODS
 from mnpred.simulation import Scenario, run_simulation, tail_balance
 
@@ -98,6 +102,7 @@ def report():
 class TestRunSimulation:
     def test_bookkeeping(self, report):
         assert report.n_completed + report.n_failed == 8
+        assert report.n_failed == sum(report.failures.values())
         assert report.runtime_seconds > 0.0
         assert set(report.outcomes) == {"pointwise", "bonferroni"}
         for out in report.outcomes.values():
@@ -136,12 +141,113 @@ class TestRunSimulation:
     def test_failure_cap_trips(self):
         # repair disabled plus a near-degenerate category makes most draws
         # unfittable, which must abort rather than silently bias coverage
-        s = cheap_scenario(
-            pi_true=(0.02, 0.98), K=2, n=5, phi=1.5,
-            n_iter=10, methods=("pointwise",), B=50, repair=False, seed=0,
-        )
         with pytest.raises(FailureCapError):
-            run_simulation(s)
+            run_simulation(failing_scenario())
+
+
+def failing_scenario():
+    """test_failure_cap_trips' cell: most iterations fail, so the cap trips."""
+    return cheap_scenario(
+        pi_true=(0.02, 0.98), K=2, n=5, phi=1.5,
+        n_iter=10, methods=("pointwise",), B=50, repair=False, seed=0,
+    )
+
+
+class TestParallelIterations:
+    """The iterations run on the package's thread pool; the report never depends on it.
+
+    The cell has failing iterations (repair disabled) and bootstrap methods
+    whose ensembles take three blocks of 500 replicates, so the nested
+    block calls run inline on the iteration threads.
+    """
+
+    @staticmethod
+    def scenario():
+        return cheap_scenario(
+            pi_true=(0.08, 0.92), K=5, n=10, phi=1.5, n_iter=40, B=1100, repair=False,
+            seed=1, methods=("pointwise", "mvn", "symmetric", "marginal", "rank-scs"),
+        )
+
+    @staticmethod
+    def report_bytes(report):
+        return rows_to_csv(simulation_rows([report]), SIMULATION_COLUMNS).encode()
+
+    def test_same_bytes_for_any_worker_count(self, monkeypatch):
+        before = threading.active_count()
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            reports.append(run_simulation(self.scenario()))
+        assert threading.active_count() == before
+        assert len({self.report_bytes(r) for r in reports}) == 1
+        for r in reports:  # 2 of 40 iterations draw an empty category, under the 5% cap
+            assert (r.n_completed, r.n_failed, r.failures) == (38, 2, {"ZeroCategory": 2})
+
+    def test_failure_cap_same_error_for_any_worker_count(self, monkeypatch):
+        """The cap trips with the serial loop's message, and no iteration starts once it must.
+
+        The cell's first iteration fails as it draws its table, and one
+        failure trips the cap: one iteration starts on one worker, and at
+        most one per thread on two.
+        """
+        messages, started = [], []
+
+        def counted(*args, **kwargs):
+            started[-1] += 1
+            return generate_dataset(*args, **kwargs)
+
+        monkeypatch.setattr("mnpred.simulation.generate_dataset", counted)
+        for workers in (1, 2):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            started.append(0)
+            with pytest.raises(FailureCapError) as caught:
+                run_simulation(failing_scenario())
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == "1 of 10 iterations failed (cap 5%) in scenario custom"
+        assert started[0] == 1 and started[1] <= 2
+
+    def test_nested_blocks_start_no_thread(self, monkeypatch):
+        """At most _WORKERS threads run: the ensemble blocks of an iteration run on its thread.
+
+        Three workers, a short switch interval, and a draw wrapper that
+        records how many threads are alive and which thread draws.
+        """
+        workers = 3
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+        want = self.report_bytes(run_simulation(self.scenario()))
+        alive, drawers = [], set()
+
+        def counted(*args, **kwargs):
+            alive.append(threading.active_count())
+            drawers.add(threading.get_ident())
+            return sample_dm_matrix(*args, **kwargs)
+
+        monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+        monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", counted)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.report_bytes(run_simulation(self.scenario()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(alive) == 3 * 38  # three blocks per completed iteration
+        assert max(alive) - before <= workers - 1
+        assert len(drawers) > 1
+        assert got == want
+
+    def test_same_warnings_for_any_worker_count(self, monkeypatch):
+        # B=20 puts the rank-scs critical rank at the ensemble edge in most iterations
+        s = cheap_scenario(methods=("rank-scs", "marginal"), B=20, n_iter=12)
+        counts = []
+        for workers in (1, 2):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_simulation(s)
+            counts.append(len(caught))
+        assert counts[0] == counts[1] > 0
 
 
 class TestTailBalance:
