@@ -37,6 +37,7 @@ from .pool import run_each
 from .rng import RngStream, require_stream
 
 __all__ = [
+    "MIN_REPLICATES",
     "BootstrapEnsemble",
     "build_ensemble",
     "symmetric_multiplier",
@@ -57,6 +58,9 @@ __all__ = [
 # integers and future clusters from substream j of the ensemble stream, so a
 # new block rule moves the bytes of any ensemble larger than one block.
 _BLOCK_CELLS = 1 << 16
+
+# The rank summary (empirical.rank_summary) needs at least two ensemble rows.
+MIN_REPLICATES = 2
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,8 @@ def build_ensemble(
     """
     rng = require_stream(rng, "build_ensemble")
     B = int(B)
-    if B < 2:
-        raise ValidationError("ensemble needs at least 2 replicates")
+    if B < MIN_REPLICATES:
+        raise ValidationError(f"ensemble needs at least {MIN_REPLICATES} replicates")
     m = spec.m
     sizes = data.cluster_sizes
     C = fit.pi_hat.shape[0]

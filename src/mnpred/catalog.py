@@ -4,18 +4,21 @@ The 32 probability vectors are stored exactly as tabulated (a few rows
 sum to 0.99 or 1.05 because of rounding in the source tables); they are
 renormalized when a Scenario is constructed.  Vectors are crossed with
 the cluster-count, size and dispersion grids to give 32 x 4 x 4 x 3 =
-1536 cells.  build_scenarios turns a simulate config into the cells to
-run: one custom cell or a prefix-filtered slice of the catalog, with the
-config's run settings.
+1536 cells.  Every cell can be generated: the largest dispersion (8)
+is below the smallest cluster size (10).  build_scenarios turns a
+simulate config into the cells to run: one custom cell or a
+prefix-filtered slice of the catalog, with the config's run settings.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
 
+from .dm import _checked_probs
 from .errors import ValidationError
 from .io import RunConfig
 from .simulation import Scenario
@@ -83,48 +86,29 @@ def catalog_vectors() -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for c, table in ((3, C3_VECTORS), (5, C5_VECTORS), (10, C10_VECTORS)):
         for i, row in enumerate(table, start=1):
-            v = np.asarray(row, dtype=float)
-            v = v / v.sum()
+            v = _checked_probs(row)
             v.setflags(write=False)
             out[f"C{c}-{i:02d}"] = v
     return out
 
 
 def scenario_catalog(
-    seed: int = 0,
-    clusters: tuple[int, ...] = CLUSTER_GRID,
-    sizes: tuple[int, ...] = SIZE_GRID,
-    dispersions: tuple[float, ...] = DISPERSION_GRID,
-    **settings: Any,
+    seed: int = 0, prefixes: tuple[str, ...] = ("",), **settings: Any
 ) -> list[Scenario]:
-    """Cross the vector catalog with the design grids.
+    """The catalog cells whose id starts with one of ``prefixes`` (all by default).
 
-    Cells where the generating dispersion would not satisfy phi < n are
-    dropped (none with the default grids); sparse-degenerate cells stay
-    in but carry Scenario.sparse = True.  Cell i gets seed + i; every
-    other keyword (n_iter, B, S, methods, alpha, ...) goes to each
-    Scenario unchanged, so the run settings default to Scenario's.
+    Only those cells are built, but cell i of the whole cross gets
+    seed + i, so a cell's seed does not depend on the filter.
+    Sparse-degenerate cells carry Scenario.sparse = True.  Every other
+    keyword (n_iter, B, S, methods, alpha, ...) goes to each Scenario
+    unchanged, so the run settings default to Scenario's.
     """
-    return _catalog_cells(("",), seed, clusters, sizes, dispersions, **settings)
-
-
-def _catalog_cells(
-    prefixes: tuple[str, ...],
-    seed: int = 0,
-    clusters: tuple[int, ...] = CLUSTER_GRID,
-    sizes: tuple[int, ...] = SIZE_GRID,
-    dispersions: tuple[float, ...] = DISPERSION_GRID,
-    **settings: Any,
-) -> list[Scenario]:
-    """The catalog cells whose id starts with one of ``prefixes``.
-
-    Only those cells are built, but each keeps the seed it has in the
-    whole catalog.
-    """
-    grid = itertools.product(catalog_vectors().items(), clusters, sizes, dispersions)
-    cells = ((vec_id, pi, K, n, phi) for (vec_id, pi), K, n, phi in grid if phi < n)
+    # Checked here: a slice that leaves out the first cells sees only seed + i.
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
+    grid = itertools.product(catalog_vectors().items(), CLUSTER_GRID, SIZE_GRID, DISPERSION_GRID)
     scenarios: list[Scenario] = []
-    for i, (vec_id, pi, K, n, phi) in enumerate(cells):
+    for i, ((vec_id, pi), K, n, phi) in enumerate(grid):
         scenario_id = f"{vec_id}-K{K}-n{n}-phi{phi:g}"
         if scenario_id.startswith(prefixes):
             scenarios.append(
@@ -134,6 +118,16 @@ def _catalog_cells(
                 )
             )
     return scenarios
+
+
+# With pi these keys describe one custom cell; without it they are stray.
+_CELL_KEYS = ("K", "n", "m", "phi")
+# Every other RunConfig field that Scenario also has is a run setting.
+_RUN_SETTINGS = tuple(
+    f.name
+    for f in fields(RunConfig)
+    if f.name in {s.name for s in fields(Scenario)} and f.name not in _CELL_KEYS
+)
 
 
 def build_scenarios(cfg: RunConfig) -> list[Scenario]:
@@ -147,24 +141,12 @@ def build_scenarios(cfg: RunConfig) -> list[Scenario]:
     that would be ignored, and filters that match nothing, raise
     ValidationError.
     """
-    settings = dict(
-        n_iter=cfg.n_iter,
-        B=cfg.B,
-        S=cfg.S,
-        methods=cfg.methods,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-        repair=cfg.repair,
-        chains=cfg.chains,
-        warmup=cfg.warmup,
-        mvn_draws=cfg.mvn_draws,
-        priors=cfg.priors,
-    )
+    settings = {name: getattr(cfg, name) for name in _RUN_SETTINGS}
     if cfg.pi is None:
-        stray = [name for name in ("K", "n", "m", "phi") if getattr(cfg, name) is not None]
+        stray = [name for name in _CELL_KEYS if getattr(cfg, name) is not None]
         if stray:
             raise ValidationError(f"{', '.join(stray)} set without pi (a custom cell)")
-        scenarios = _catalog_cells(cfg.scenarios or ("",), **settings)
+        scenarios = scenario_catalog(prefixes=cfg.scenarios or ("",), **settings)
         if not scenarios:
             raise ValidationError(f"no scenarios match filters {cfg.scenarios}")
         return scenarios

@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default="cauchy", help="comma list from {cauchy, beta}")
     p.add_argument("--mvn-draws", type=int, default=run.mvn_draws)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="default: from --out extension")
     p.set_defaults(func=_cmd_predict)
 
     g = sub.add_parser("generate", help="draw a synthetic historical count table")
@@ -92,25 +90,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run coverage scenarios from a config file")
     s.add_argument("--config", required=True, help="flat key = value config file")
-    s.add_argument("--out", help="output path (default: stdout)")
-    s.add_argument("--format", choices=("csv", "json"))
     s.set_defaults(func=_cmd_simulate)
+    for cmd in (p, s):
+        cmd.add_argument("--out", help="output path (default: stdout)")
+        cmd.add_argument("--format", choices=("csv", "json"), help="default: from --out extension")
     return parser
 
 
-def _pick_format(fmt: str | None, out: str | None, default: str = "csv") -> str:
-    """--format, else a .json or .csv extension on the out path, else default."""
-    if fmt:
-        return fmt
-    for ext in ("json", "csv"):
-        if out and out.lower().endswith("." + ext):
-            return ext
-    return default
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_text(text, out)
+def _emit(args: argparse.Namespace, rows: list, columns: tuple, extra: dict | None = None) -> None:
+    """Write rows to --out or stdout: as --format, else JSON for a .json path, else CSV."""
+    fmt = args.format or ("json" if args.out and args.out.lower().endswith(".json") else "csv")
+    if fmt == "json":
+        text = rows_to_json(rows, columns, extra=extra)
+    else:
+        text = rows_to_csv(rows, columns)
+    if args.out:
+        write_text(text, args.out)
     else:
         sys.stdout.write(text)
 
@@ -159,12 +154,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             method: bool(np.all((ivs.lower <= future) & (future <= ivs.upper)))
             for method, ivs in sets.items()
         }
-    fmt = _pick_format(args.format, args.out)
-    if fmt == "json":
-        extra = {"containment": verdicts} if verdicts is not None else None
-        _emit(rows_to_json(rows, INTERVAL_COLUMNS, extra=extra), args.out)
-    else:
-        _emit(rows_to_csv(rows, INTERVAL_COLUMNS), args.out)
+    extra = {"containment": verdicts} if verdicts is not None else None
+    _emit(args, rows, INTERVAL_COLUMNS, extra)
     if verdicts is not None:
         stream = sys.stdout if args.out else sys.stderr
         for method, ok in verdicts.items():
@@ -206,11 +197,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    out = args.out or cfg.out
-    fmt = _pick_format(args.format, out, default=cfg.format)
     rows = simulation_rows([run_simulation(s) for s in build_scenarios(cfg)])
-    render = rows_to_json if fmt == "json" else rows_to_csv
-    _emit(render(rows, SIMULATION_COLUMNS), out)
+    _emit(args, rows, SIMULATION_COLUMNS)
     return 0
 
 

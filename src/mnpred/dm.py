@@ -198,7 +198,7 @@ def _checked_probs(pi) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.shape[0] < 2:
         raise ValidationError("pi must be a 1-D vector with at least 2 entries")
-    if np.any(pi < 0.0):
+    if pi.min() < 0.0:
         raise ZeroProbability("probabilities must be non-negative")
     total = pi.sum()
     # published vectors are rounded to 2-3 decimals, so sums like 0.998 or

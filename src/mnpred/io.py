@@ -146,7 +146,8 @@ _SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 class RunConfig:
     """Flat bag of run settings; the simulate config file mirrors these names.
 
-    The run settings are checked where they are used: catalog.build_scenarios
+    parse_config reads each value by its field's annotation.  The run
+    settings are checked where they are used: catalog.build_scenarios
     checks which keys go together and Scenario checks each value.
     """
 
@@ -158,8 +159,6 @@ class RunConfig:
     warmup: int = _SCENARIO_DEFAULTS["warmup"]
     seed: int = _SCENARIO_DEFAULTS["seed"]
     priors: tuple[str, ...] = _SCENARIO_DEFAULTS["priors"]
-    format: str = "csv"
-    out: str | None = None
     n_iter: int = _SCENARIO_DEFAULTS["n_iter"]
     scenarios: tuple[str, ...] = ()
     repair: bool = _SCENARIO_DEFAULTS["repair"]
@@ -170,20 +169,20 @@ class RunConfig:
     m: int | None = None
     phi: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
 
-
-_LIST_KEYS = {"methods", "priors", "scenarios"}
-_BOOL_KEYS = {"repair"}
-_INT_KEYS = {"B", "S", "chains", "warmup", "seed", "n_iter", "mvn_draws", "K", "n", "m"}
-_FLOAT_KEYS = {"alpha", "phi"}
+# One reader per RunConfig annotation; an optional field reads like its base type.
+_READERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda text: {"true": True, "false": False}[text.lower()],
+    "tuple[str, ...]": lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
+    "tuple[float, ...]": lambda text: tuple(float(v) for v in text.split(",")),
+}
 
 
 def parse_config(path: str) -> RunConfig:
     """Parse a flat `key = value` config file with # comments."""
-    known = {f.name for f in fields(RunConfig)}
+    readers = {f.name: _READERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
     values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -194,24 +193,11 @@ def parse_config(path: str) -> RunConfig:
                 raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in readers:
                 raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
             try:
-                if key in _LIST_KEYS:
-                    values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-                elif key in _BOOL_KEYS:
-                    if value.lower() not in ("true", "false"):
-                        raise ValueError(value)
-                    values[key] = value.lower() == "true"
-                elif key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                elif key == "pi":
-                    values[key] = tuple(float(v) for v in value.split(","))
-                else:
-                    values[key] = value
-            except ValueError:
+                values[key] = readers[key](value)
+            except (KeyError, ValueError):
                 raise ParseError(
                     f"{path}: line {lineno}: bad value {value!r} for {key!r}"
                 ) from None

@@ -23,6 +23,10 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be at least 0, got {self.seed}")
+
     def child(self, *indices: int) -> "RngStream":
         """Derive a substream; ``child(i).child(j)`` equals ``child(i, j)``."""
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))

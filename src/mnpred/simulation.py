@@ -17,7 +17,8 @@ import numpy as np
 
 from .asymptotic import MIN_MVN_DRAWS
 from .bayes import MIN_CHAINS
-from .dm import generate_dataset, sample_dm_counts
+from .bootstrap import MIN_REPLICATES
+from .dm import _checked_probs, generate_dataset, sample_dm_counts
 from .errors import FailureCapError, MnpredError, ValidationError
 from .methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
 from .model import FutureSpec, fit_model
@@ -59,17 +60,9 @@ class Scenario:
     priors: tuple[str, ...] = ("cauchy",)
 
     def __post_init__(self) -> None:
-        pi = np.asarray(self.pi_true, dtype=float)
-        if pi.ndim != 1 or pi.shape[0] < 2:
-            raise ValidationError("pi_true must be a vector with at least 2 categories")
-        if np.any(pi <= 0.0):
+        pi = _checked_probs(self.pi_true)
+        if pi.min() <= 0.0:
             raise ValidationError("pi_true entries must be strictly positive")
-        total = pi.sum()
-        # as in dm._checked_probs: tabulated vectors are rounded, so a sum
-        # within [0.9, 1.1] is renormalised and anything further off rejected
-        if not 0.9 <= total <= 1.1:
-            raise ValidationError(f"probabilities sum to {total:.10g}, expected 1")
-        pi = pi / total
         pi.setflags(write=False)
         object.__setattr__(self, "pi_true", pi)
         if self.m is None:
@@ -82,11 +75,10 @@ class Scenario:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie strictly between 0 and 1")
-        for name in ("B", "S", "chains", "warmup"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be a positive integer")
-        if self.mvn_draws < MIN_MVN_DRAWS:
-            raise ValidationError(f"mvn_draws must be at least {MIN_MVN_DRAWS}")
+        minimums = dict(B=MIN_REPLICATES, S=1, chains=1, warmup=1, mvn_draws=MIN_MVN_DRAWS, seed=0)
+        for name, least in minimums.items():
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be at least {least}")
         if self.chains < MIN_CHAINS and any(
             r.prior for r in resolve_methods(self.methods, self.priors)
         ):

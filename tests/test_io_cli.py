@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +128,6 @@ chains = 2
 warmup = 250
 seed = 9
 priors = cauchy, beta
-format = json
-out = results.json
 n_iter = 50
 scenarios = C3-01, C5
 repair = true
@@ -145,10 +144,24 @@ phi = 2.5
         assert cfg.B == 500 and cfg.S == 2000 and cfg.chains == 2
         assert cfg.priors == ("cauchy", "beta")
         assert cfg.repair is True
-        assert cfg.format == "json" and cfg.out == "results.json"
         assert cfg.scenarios == ("C3-01", "C5")
         assert cfg.pi == (0.3, 0.3, 0.4)
         assert cfg.K == 5 and cfg.n == 20 and cfg.m == 30 and cfg.phi == 2.5
+
+    def test_every_field_has_a_reader(self, tmp_path):
+        """A RunConfig field whose annotation has no reader fails here, not in a user's run."""
+        samples = {
+            "int": ("3", 3),
+            "float": ("0.5", 0.5),
+            "bool": ("false", False),
+            "tuple[str, ...]": ("a, b", ("a", "b")),
+            "tuple[float, ...]": ("0.25, 0.75", (0.25, 0.75)),
+        }
+        kinds = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
+        text = "".join(f"{name} = {samples[kind][0]}\n" for name, kind in kinds.items())
+        cfg = parse_config(put(tmp_path, "run.cfg", text))
+        for name, kind in kinds.items():
+            assert getattr(cfg, name) == samples[kind][1], name
 
     def test_defaults(self, tmp_path):
         cfg = parse_config(put(tmp_path, "run.cfg", "# nothing set\n"))
@@ -173,8 +186,6 @@ phi = 2.5
     def test_validation_delegated_to_runconfig(self, tmp_path):
         with pytest.raises(ValidationError, match="alpha"):
             build_scenarios(parse_config(put(tmp_path, "run.cfg", "alpha = 2.0\n")))
-        with pytest.raises(ValidationError, match="format"):
-            parse_config(put(tmp_path, "run.cfg", "format = xml\n"))
         with pytest.raises(ValidationError, match="B"):
             build_scenarios(parse_config(put(tmp_path, "run.cfg", "B = 0\n")))
 
@@ -388,6 +399,13 @@ class TestCliPredict:
         assert lines[0] == ",".join(INTERVAL_COLUMNS)
         assert len(lines) == 1 + 3 * 4
 
+    def test_negative_seed_is_validation_error(self, cli_files, capsys):
+        _, counts, _ = cli_files
+        rc = main(["predict", "--data", counts, "--m", "24", *PREDICT_FAST, "--seed", "-1"])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (3, "ValidationError")
+        assert "seed" in err["message"]
+
     def test_predict_without_future_has_no_verdicts(self, cli_files, capsys):
         _, counts, _ = cli_files
         main(["predict", "--data", counts, "--m", "24", *PREDICT_FAST])
@@ -535,6 +553,16 @@ class TestCliGenerate:
             assert json.loads(err)["error"] == error
         assert not (tmp_path / "g.csv").exists()
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        rc = main([
+            "generate", "--K", "5", "--n", "20", "--phi", "2", "--pi", "0.3,0.7",
+            "--seed", "-1", "--out", str(tmp_path / "g.csv"),
+        ])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (3, "ValidationError")
+        assert "seed" in err["message"]
+        assert not (tmp_path / "g.csv").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         paths = [str(tmp_path / f"g{i}.csv") for i in (1, 2)]
         for p in paths:
@@ -630,7 +658,7 @@ class TestCliSimulate:
         assert main(["simulate", "--config", cfg, "--full-scale"]) == 2
         assert "--full-scale" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["B = 0", "alpha = 2.0"])
+    @pytest.mark.parametrize("setting", ["B = 0", "B = 1", "alpha = 2.0"])
     def test_bad_run_setting_is_validation_error(self, tmp_path, capsys, setting):
         cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}{setting}\n")
         rc = main(["simulate", "--config", cfg])
@@ -639,16 +667,36 @@ class TestCliSimulate:
         assert err["error"] == "ValidationError"
         assert setting.split()[0] in err["message"]
 
+    @pytest.mark.parametrize("cell", [CUSTOM_CELL, "scenarios = C10-\nn_iter = 1\n"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, cell):
+        # catalog cell i gets seed + i, so a C10 cell could reach a valid seed
+        cfg = put(tmp_path, "run.cfg", f"{cell}seed = -1\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (3, "ValidationError")
+        assert "seed" in err["message"]
+
+    @pytest.mark.parametrize("key", ["format = json", "out = x.json"])
+    def test_output_keys_are_parse_errors(self, tmp_path, capsys, key):
+        # the output path and format are set by --out and --format only
+        cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}{key}\n")
+        rc = main(["simulate", "--config", cfg])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (3, "ParseError")
+        assert f"line 5: unknown key '{key.split()[0]}'" in err["message"]
+
     @pytest.mark.parametrize(
         "flags, out_name, expected",
         [
-            ([], "run.txt", "json"),  # no flag, no known extension: the config decides
-            ([], "run.csv", "csv"),  # the extension beats the config
-            (["--format", "csv"], "run.json", "csv"),  # the flag beats both
+            (["--format", "json"], "run.txt", "json"),  # the flag decides
+            ([], "run.csv", "csv"),  # no flag: the extension decides
+            (["--format", "csv"], "run.json", "csv"),  # the flag beats the extension
+            ([], "run.json", "json"),
+            ([], "run.txt", "csv"),  # no flag, no known extension: CSV
         ],
     )
     def test_format_precedence(self, tmp_path, flags, out_name, expected):
-        cfg = put(tmp_path, "run.cfg", f"{CUSTOM_CELL}format = json\n")
+        cfg = put(tmp_path, "run.cfg", CUSTOM_CELL)
         out = str(tmp_path / out_name)
         assert main(["simulate", "--config", cfg, "--out", out, *flags]) == 0
         text = open(out).read()

@@ -69,6 +69,7 @@ class TestScenario:
             dict(n_iter=0),
             dict(alpha=1.0),
             dict(B=0),
+            dict(seed=-1),
             dict(S=0),
             dict(chains=0),             # would divide by zero in sampling_iters
             dict(warmup=0),
@@ -92,6 +93,11 @@ class TestScenario:
                      methods=("bayes-scs",), chains=1, S=200, warmup=50)
         report = run_simulation(cheap_scenario(chains=1, n_iter=2))
         assert report.n_completed == 2
+
+    def test_one_replicate_is_refused_by_name(self):
+        # B = 1 would pass here and then fail every iteration in build_ensemble
+        with pytest.raises(ValidationError, match="B must be at least 2"):
+            cheap_scenario(B=1)
 
 
 @pytest.fixture(scope="module")
@@ -303,10 +309,12 @@ class TestCatalog:
         assert all(s.methods == FREQUENTIST_METHODS for s in cells)
         assert all(s.n_iter == 500 and s.B == 2000 and s.S == 4000 for s in cells)
 
-    def test_infeasible_dispersion_dropped(self):
-        cells = scenario_catalog(clusters=(5,), sizes=(10, 50), dispersions=(12.0,))
-        assert all(s.n == 50 for s in cells)
-        assert len(cells) == 32
+    def test_every_cell_can_be_generated(self):
+        """No cell has phi >= n, so the catalog needs no feasibility filter."""
+        assert max(DISPERSION_GRID) < min(SIZE_GRID)
+        cells = scenario_catalog()
+        assert len(cells) == 1536
+        assert all(s.phi < s.n for s in cells)
 
 
 def reference_scenarios(cfg):
@@ -404,13 +412,16 @@ class TestBuildScenarios:
         """Only the selected cells are built, each with its seed in the whole catalog."""
         got = build_scenarios(RunConfig(scenarios=prefixes, **NON_DEFAULT))
         want = [s for s in scenario_catalog(**NON_DEFAULT) if s.scenario_id.startswith(prefixes)]
-        assert len(got) == len(want) > 0
-        for a, b in zip(got, want):
+        built = scenario_catalog(prefixes=prefixes, **NON_DEFAULT)
+        assert len(got) == len(want) == len(built) > 0
+        for a, b, c in zip(got, want, built):
             for f in fields(Scenario):
                 if f.name == "pi_true":
-                    assert a.pi_true.tobytes() == b.pi_true.tobytes(), a.scenario_id
+                    assert a.pi_true.tobytes() == b.pi_true.tobytes() == c.pi_true.tobytes()
                 else:
-                    assert getattr(a, f.name) == getattr(b, f.name), (a.scenario_id, f.name)
+                    assert getattr(a, f.name) == getattr(b, f.name) == getattr(c, f.name), (
+                        a.scenario_id, f.name,
+                    )
 
     def test_defaults_keep_catalog_cells(self):
         cells = build_scenarios(RunConfig(scenarios=("C3-01-K5-n10-phi1.01",)))
