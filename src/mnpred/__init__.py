@@ -70,10 +70,8 @@ from .model import (
     ModelFit,
     PredictionIntervalSet,
     PredictionPoint,
-    afroz_fletcher_dispersion,
     clamp_dispersion,
     fit_model,
-    pearson_chi_square,
     prediction_point,
     prediction_se,
     residual_df,

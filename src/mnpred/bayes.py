@@ -126,24 +126,22 @@ class PriorChoice:
         """
         eta0 = np.asarray(eta0, dtype=float)
         ok = (eta0 > 0.0) & np.isfinite(eta0)
-        return np.where(ok, self._log_density(np.where(ok, eta0, 1.0)), -np.inf)[()]
-
-    def _log_density(self, x: np.ndarray) -> np.ndarray:
-        """``log_density_eta0`` without its support check; rows of x that are
-        not positive finite numbers come out as garbage, not -inf."""
+        x = np.where(ok, eta0, 1.0)
         if self.kind == "cauchy":
             u = x / self.scale
             big = u > _SQUARE_SAFE
             safe = np.minimum(u, _SQUARE_SAFE)
             tail = np.where(big, 2.0 * np.log(np.maximum(u, _SQUARE_SAFE)), np.log1p(safe**2))
-            return math.log(2.0 / math.pi) - math.log(self.scale) - tail
-        a, b = self.beta_a, self.beta_b
-        # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.
-        return (
-            -_betaln(a, b)
-            - (a + 1.0) * np.log1p(x)
-            + (b - 1.0) * (np.log(x) - np.log1p(x))
-        )
+            log_density = math.log(2.0 / math.pi) - math.log(self.scale) - tail
+        else:
+            a, b = self.beta_a, self.beta_b
+            # Beta density in rho = 1/(1+eta0) times |d rho / d eta0| = rho^2.
+            log_density = (
+                -_betaln(a, b)
+                - (a + 1.0) * np.log1p(x)
+                + (b - 1.0) * (np.log(x) - np.log1p(x))
+            )
+        return np.where(ok, log_density, -np.inf)[()]
 
 
 @dataclass(frozen=True)
@@ -159,11 +157,6 @@ class PosteriorDraws:
     @property
     def n_draws(self) -> int:
         return self.eta0.shape[0]
-
-    @property
-    def rho(self) -> np.ndarray:
-        """Implied intra-cluster correlation 1/(1+eta0) per draw."""
-        return 1.0 / (1.0 + self.eta0)
 
     @property
     def accept_rates(self) -> np.ndarray:
@@ -284,10 +277,7 @@ class _LogPosterior:
             np.log(terms, out=terms)
             terms *= self.weights
             ll = self.const + terms.sum(axis=1)
-            # The prior goes unchecked: u < 700 keeps eta0 finite and every
-            # eta_c > 0 keeps eta0 positive, so the rows it could get wrong
-            # are masked below.
-            lp = ll + self.prior._log_density(eta0) + log_pi.sum(axis=1) + u
+            lp = ll + self.prior.log_density_eta0(eta0) + log_pi.sum(axis=1) + u
         ok = (u < 700.0) & (ext.min(axis=1) > 0.0) & np.isfinite(lp)
         return np.where(ok, lp, -np.inf)
 

@@ -40,10 +40,8 @@ __all__ = [
     "MIN_REPLICATES",
     "BootstrapEnsemble",
     "build_ensemble",
-    "symmetric_multiplier",
     "asymmetric_multipliers",
     "marginal_multipliers",
-    "masr_multiplier",
     "rank_multipliers",
     "symmetric_calibration",
     "asymmetric_calibration",
@@ -147,10 +145,6 @@ def marginal_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     return np.maximum(q_lo, 0.0), np.maximum(q_hi, 0.0)
 
 
-# masr and symmetric are one statistic under two method ids.
-masr_multiplier = symmetric_multiplier = max_abs_quantile
-
-
 def rank_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-category multipliers from the rank-based simultaneous construction.
 
@@ -179,7 +173,7 @@ def rank_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
 def symmetric_calibration(
     ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
-    q = symmetric_multiplier(ensemble.z, spec.alpha)
+    q = max_abs_quantile(ensemble.z, spec.alpha)
     return scaled_interval_set("symmetric", prediction_point(fit, spec), q, q, spec)
 
 
@@ -200,7 +194,7 @@ def marginal_calibration(
 def masr_interval(
     ensemble: BootstrapEnsemble, fit: ModelFit, spec: FutureSpec
 ) -> PredictionIntervalSet:
-    q = masr_multiplier(ensemble.z, spec.alpha)
+    q = max_abs_quantile(ensemble.z, spec.alpha)
     return scaled_interval_set("masr", prediction_point(fit, spec), q, q, spec)
 
 

@@ -99,7 +99,7 @@ def scenario_catalog(
 
     Only those cells are built, but cell i of the whole cross gets
     seed + i, so a cell's seed does not depend on the filter.
-    Sparse-degenerate cells carry Scenario.sparse = True.  Every other
+    Sparse-degenerate cells have Scenario.min_expected_count < 1.  Every other
     keyword (n_iter, B, S, methods, alpha, ...) goes to each Scenario
     unchanged, so the run settings default to Scenario's.
     """

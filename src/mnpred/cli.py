@@ -20,6 +20,7 @@ from .errors import MnpredError, ParseError, ValidationError
 from .io import (
     INTERVAL_COLUMNS,
     SIMULATION_COLUMNS,
+    comma_list,
     counts_to_csv,
     interval_rows,
     parse_config,
@@ -40,10 +41,6 @@ __all__ = ["main"]
 
 class _UsageError(Exception):
     pass
-
-
-def _comma_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,10 +108,10 @@ def _emit(args: argparse.Namespace, rows: list, columns: tuple, extra: dict | No
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    tokens = _comma_list(args.methods)
+    tokens = comma_list(args.methods)
     if tokens:
         try:
-            requests = resolve_methods(tokens, _comma_list(args.prior))
+            requests = resolve_methods(tokens, comma_list(args.prior))
         except ValidationError as exc:
             raise _UsageError(str(exc)) from None
     else:
@@ -165,10 +162,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
-        pi = tuple(float(v) for v in _comma_list(args.pi))
+        pi = tuple(float(v) for v in comma_list(args.pi))
     except ValueError:
         raise _UsageError(f"--pi must be a comma list of numbers, got {args.pi!r}") from None
-    labels = _comma_list(args.categories) if args.categories else tuple(
+    labels = comma_list(args.categories) if args.categories else tuple(
         f"cat_{i}" for i in range(1, len(pi) + 1)
     )
     if len(labels) != len(pi):

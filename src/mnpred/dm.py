@@ -32,7 +32,7 @@ _MAX_REDRAWS = 1000
 def derive_eta0(n: int | float, phi: float) -> float:
     """Concentration that gives dispersion phi at cluster size n."""
     if not 1.0 < phi < n:
-        raise InvalidDispersion(f"need 1 < phi < n, got phi={phi} at n={n}")
+        raise InvalidDispersion(f"need 1 < phi < cluster size, got phi={phi} at size {n}")
     return (float(n) - phi) / (phi - 1.0)
 
 

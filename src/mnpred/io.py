@@ -26,6 +26,7 @@ __all__ = [
     "INTERVAL_COLUMNS",
     "SIMULATION_COLUMNS",
     "RunConfig",
+    "comma_list",
     "parse_config",
     "parse_counts_csv",
     "parse_future_csv",
@@ -72,7 +73,8 @@ SIMULATION_COLUMNS = (
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if any(cell.strip() for cell in row)]
     if not rows:
@@ -170,13 +172,18 @@ class RunConfig:
     phi: float | None = None
 
 
+def comma_list(text: str) -> tuple[str, ...]:
+    """The stripped, non-empty items of a comma-separated list."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
 # One reader per RunConfig annotation; an optional field reads like its base type.
 _READERS = {
     "int": int,
     "float": float,
     "bool": lambda text: {"true": True, "false": False}[text.lower()],
-    "tuple[str, ...]": lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
-    "tuple[float, ...]": lambda text: tuple(float(v) for v in text.split(",")),
+    "tuple[str, ...]": comma_list,
+    "tuple[float, ...]": lambda text: tuple(float(v) for v in comma_list(text)),
 }
 
 
@@ -184,7 +191,8 @@ def parse_config(path: str) -> RunConfig:
     """Parse a flat `key = value` config file with # comments."""
     readers = {f.name: _READERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    first_set: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -195,6 +203,12 @@ def parse_config(path: str) -> RunConfig:
             key, value = key.strip(), value.strip()
             if key not in readers:
                 raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in first_set:
+                raise ParseError(
+                    f"{path}: line {lineno}: duplicate key {key!r}"
+                    f" (first set on line {first_set[key]})"
+                )
+            first_set[key] = lineno
             try:
                 values[key] = readers[key](value)
             except (KeyError, ValueError):

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesign,
-    ValidationError,
-    ZeroCategory,
-    ZeroProbability,
-)
+from .errors import DegenerateDesign, ValidationError, ZeroCategory
 
 __all__ = [
     "HistoricalDataset",
@@ -29,9 +24,8 @@ __all__ = [
     "PREDICT_DEFAULTS",
     "PredictionPoint",
     "PredictionIntervalSet",
+    "residual_df",
     "pearson_dispersion",
-    "pearson_chi_square",
-    "afroz_fletcher_dispersion",
     "clamp_dispersion",
     "prediction_se",
     "fit_model",
@@ -81,7 +75,11 @@ class HistoricalDataset:
                 raise ValidationError(
                     f"{len(self.categories)} category labels for {C} columns"
                 )
-            object.__setattr__(self, "categories", tuple(str(s) for s in self.categories))
+            labels = tuple(str(s) for s in self.categories)
+            for c, label in enumerate(labels):
+                if label in labels[:c]:
+                    raise ValidationError(f"duplicate category label {label!r}")
+            object.__setattr__(self, "categories", labels)
         else:
             object.__setattr__(
                 self, "categories", tuple(f"cat_{c + 1}" for c in range(C))
@@ -198,22 +196,6 @@ class PredictionIntervalSet:
         if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
             raise ValidationError("interval bounds must be finite")
 
-    @property
-    def n_categories(self) -> int:
-        return self.lower.shape[0]
-
-
-def _checked_pi(data: HistoricalDataset, pi) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (data.n_categories,):
-        raise ValidationError(
-            f"probability vector has shape {pi.shape}, expected ({data.n_categories},)"
-        )
-    if np.any(pi <= 0.0):
-        c = int(np.argwhere(pi <= 0.0)[0, 0])
-        raise ZeroProbability(f"pi[{c}] = {pi[c]} is not strictly positive")
-    return pi
-
 
 def residual_df(n_clusters: int, n_categories: int) -> int:
     """Degrees of freedom left after the pooled probabilities: (K-1)(C-1)."""
@@ -226,7 +208,9 @@ def pearson_dispersion(counts: np.ndarray, pi: np.ndarray):
     ``counts`` has shape (..., K, C) and ``pi`` the matching (..., C); each
     K x C table is compared with its cluster-wise expectations n_k * pi.
     The dispersion is chi^2/df / (1 + s_bar), infinite where 1 + s_bar is
-    zero, and not clamped.  Inputs are not validated.
+    zero, and not clamped (it may be <= 1).  Dividing by one plus the mean
+    relative residual removes the leading small-K bias of the plain Pearson
+    ratio.  Inputs are not validated.
     """
     K, C = counts.shape[-2:]
     expected = counts.sum(axis=-1)[..., :, None] * pi[..., None, :]
@@ -241,21 +225,6 @@ def pearson_dispersion(counts: np.ndarray, pi: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_raw = np.where(denom != 0.0, (chi2 / residual_df(K, C)) / denom, np.inf)
     return chi2, s_bar, phi_raw
-
-
-def pearson_chi_square(data: HistoricalDataset, pi) -> float:
-    """Pearson statistic of the counts against cluster-wise expectations n_k * pi."""
-    return float(pearson_dispersion(data.counts, _checked_pi(data, pi))[0])
-
-
-def afroz_fletcher_dispersion(data: HistoricalDataset, pi) -> float:
-    """Bias-corrected Pearson dispersion estimate (may be <= 1; not clamped).
-
-    The correction divides chi^2/df by one plus the mean relative
-    residual, which removes the leading small-K bias of the plain
-    Pearson ratio.
-    """
-    return float(pearson_dispersion(data.counts, _checked_pi(data, pi))[2])
 
 
 def clamp_dispersion(phi_raw, size_bound):

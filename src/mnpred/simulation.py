@@ -18,7 +18,7 @@ import numpy as np
 from .asymptotic import MIN_MVN_DRAWS
 from .bayes import MIN_CHAINS
 from .bootstrap import MIN_REPLICATES
-from .dm import _checked_probs, generate_dataset, sample_dm_counts
+from .dm import _checked_probs, derive_eta0, generate_dataset, sample_dm_counts
 from .errors import FailureCapError, MnpredError, ValidationError
 from .methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
 from .model import FutureSpec, fit_model
@@ -67,18 +67,18 @@ class Scenario:
         object.__setattr__(self, "pi_true", pi)
         if self.m is None:
             object.__setattr__(self, "m", self.n)
-        if self.K < 2 or self.n < 2 or self.m < 1 or self.n_iter < 1:
-            raise ValidationError("K >= 2, n >= 2, m >= 1 and n_iter >= 1 required")
-        if not 1.0 < self.phi < min(self.n, self.m if self.m > 1 else self.n):
-            raise ValidationError(
-                f"generating dispersion must satisfy 1 < phi < min(n, m), got {self.phi}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie strictly between 0 and 1")
-        minimums = dict(B=MIN_REPLICATES, S=1, chains=1, warmup=1, mvn_draws=MIN_MVN_DRAWS, seed=0)
+        minimums = dict(
+            K=2, n=2, n_iter=1, B=MIN_REPLICATES, S=1, chains=1, warmup=1,
+            mvn_draws=MIN_MVN_DRAWS, seed=0,
+        )
         for name, least in minimums.items():
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be at least {least}")
+        FutureSpec(self.m, self.alpha)
+        # The generating dispersion must be reachable at both cluster sizes.
+        derive_eta0(self.n, self.phi)
+        if self.m > 1:
+            derive_eta0(self.m, self.phi)
         if self.chains < MIN_CHAINS and any(
             r.prior for r in resolve_methods(self.methods, self.priors)
         ):
@@ -96,11 +96,6 @@ class Scenario:
     @property
     def min_expected_count(self) -> float:
         return float(self.pi_true.min() * self.n)
-
-    @property
-    def sparse(self) -> bool:
-        """Flag (not a filter) for cells where the rarest category expects < 1 count."""
-        return self.min_expected_count < 1.0
 
 
 @dataclass

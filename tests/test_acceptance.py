@@ -27,12 +27,7 @@ from mnpred.bayes import (
     mcmc_sample,
     posterior_predictive,
 )
-from mnpred.bootstrap import (
-    build_ensemble,
-    masr_multiplier,
-    rank_multipliers,
-    symmetric_multiplier,
-)
+from mnpred.bootstrap import build_ensemble, rank_multipliers
 from mnpred.cli import main
 from mnpred.dm import derive_eta0, sample_dm_counts
 from mnpred.empirical import rank_summary
@@ -167,8 +162,13 @@ def test_criterion_02_near_multinomial_agreement(verdict):
         st = mp.RngStream(99).child(i)
         d = mp.generate_dataset(10, 50, CELL_PI, 1.01, st.child(0))
         fit = mp.fit_model(d)
-        ens = build_ensemble(fit, d, mp.FutureSpec(m=50), B=2000, rng=st.child(1))
-        diffs.append(abs(symmetric_multiplier(ens.z, ALPHA) - masr_multiplier(ens.z, ALPHA)))
+        spec = mp.FutureSpec(m=50, alpha=ALPHA)
+        ens = build_ensemble(fit, d, spec, B=2000, rng=st.child(1))
+        s, a = mp.symmetric_calibration(ens, fit, spec), mp.masr_interval(ens, fit, spec)
+        diffs.append(max(
+            np.abs(s.multiplier_lower - a.multiplier_lower).max(),
+            np.abs(s.multiplier_upper - a.multiplier_upper).max(),
+        ))
     worst = max(diffs)
     ok = (
         0.93 <= sym.coverage <= 0.985

@@ -7,15 +7,14 @@ import pytest
 
 import mnpred as mp
 from mnpred.bootstrap import (
+    BootstrapEnsemble,
     asymmetric_multipliers,
     build_ensemble,
     marginal_multipliers,
-    masr_multiplier,
     rank_multipliers,
-    symmetric_multiplier,
 )
 from mnpred.dm import draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
-from mnpred.empirical import nearest_rank_quantile
+from mnpred.empirical import max_abs_quantile, nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
 from mnpred.model import clamp_dispersion, pearson_dispersion
 
@@ -319,12 +318,18 @@ def _assert_minimal_order_statistic(stat, q, target):
 
 
 class TestMultipliers:
-    def test_symmetric_is_the_masr_kernel(self):
+    def test_symmetric_is_the_masr_kernel(self, histo_fit):
         rng = np.random.default_rng(10)
-        for B, C in ((2000, 4), (1999, 5), (37, 3)):
-            z = rng.standard_normal((B, C))
+        C = histo_fit.pi_hat.shape[0]
+        for B in (2000, 1999, 37):
+            ensemble = BootstrapEnsemble(z=rng.standard_normal((B, C)))
             for alpha in (0.01, 0.05, 0.10):
-                assert symmetric_multiplier(z, alpha) == masr_multiplier(z, alpha)
+                spec = mp.FutureSpec(m=46, alpha=alpha)
+                sym = mp.symmetric_calibration(ensemble, histo_fit, spec)
+                masr = mp.masr_interval(ensemble, histo_fit, spec)
+                q = [max_abs_quantile(ensemble.z, alpha)] * C
+                for s in (sym, masr):
+                    assert s.multiplier_lower.tolist() == s.multiplier_upper.tolist() == q
 
     def test_asymmetric_is_minimal_order_statistic(self):
         rng = np.random.default_rng(17)
@@ -374,14 +379,14 @@ class TestMultipliers:
     def test_monotone_in_target(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal((4000, 3))
-        qs = [symmetric_multiplier(z, a) for a in (0.10, 0.05, 0.01)]
+        qs = [max_abs_quantile(z, a) for a in (0.10, 0.05, 0.01)]
         assert qs[0] <= qs[1] <= qs[2]
         assert qs[2] > qs[0]
 
     def test_symmetric_hits_empirical_target(self):
         rng = np.random.default_rng(11)
         z = rng.standard_normal((2000, 4))
-        q = symmetric_multiplier(z, 0.05)
+        q = max_abs_quantile(z, 0.05)
         hit = float(np.mean(np.abs(z).max(axis=1) <= q))
         assert abs(hit - 0.95) <= 0.0025 + 1e-12
 
@@ -405,7 +410,7 @@ class TestMultipliers:
     def test_masr_is_nearest_rank_quantile(self):
         rng = np.random.default_rng(14)
         z = rng.standard_normal((500, 5))
-        q = masr_multiplier(z, 0.05)
+        q = max_abs_quantile(z, 0.05)
         assert q == nearest_rank_quantile(np.abs(z).max(axis=1), 0.95)
 
     def test_rank_single_category_oracle(self):
@@ -458,14 +463,14 @@ class TestIntervalWrappers:
 
     def test_symmetric_multiplier_recorded(self, small_ensemble, histo_fit, spec):
         s = mp.symmetric_calibration(small_ensemble, histo_fit, spec)
-        q = symmetric_multiplier(small_ensemble.z, spec.alpha)
+        q = max_abs_quantile(small_ensemble.z, spec.alpha)
         np.testing.assert_allclose(s.multiplier_lower, q)
         np.testing.assert_allclose(s.multiplier_upper, q)
 
     def test_unclipped_interval_uses_sep_scaling(self, small_ensemble, histo_fit, spec):
         s = mp.masr_interval(small_ensemble, histo_fit, spec)
         point = mp.prediction_point(histo_fit, spec)
-        q = masr_multiplier(small_ensemble.z, spec.alpha)
+        q = max_abs_quantile(small_ensemble.z, spec.alpha)
         lower, upper = point.y_hat - q * point.sep, point.y_hat + q * point.sep
         assert np.any(upper < spec.m)  # at least one upper bound is sep-scaled, not clipped
         np.testing.assert_array_equal(s.upper, np.minimum(upper, spec.m))

@@ -22,6 +22,7 @@ from mnpred.io import (
     INTERVAL_COLUMNS,
     SIMULATION_COLUMNS,
     RunConfig,
+    comma_list,
     counts_to_csv,
     interval_rows,
     parse_config,
@@ -99,6 +100,13 @@ class TestCountParsing:
     def test_future_needs_exactly_one_row(self, tmp_path):
         with pytest.raises(ParseError, match="one observed row"):
             parse_future_csv(put(tmp_path, "f.csv", GOOD))
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Spreadsheet CSV exports start with a UTF-8 byte-order mark.
+        plain = parse_counts_csv(put(tmp_path, "plain.csv", GOOD))
+        marked = parse_counts_csv(put(tmp_path, "bom.csv", "\ufeff" + GOOD))
+        np.testing.assert_array_equal(marked.counts, plain.counts)
+        assert marked.categories == plain.categories == ("Minimal", "Mild", "Moderate")
 
 
 class TestCountsRoundTrip:
@@ -182,6 +190,20 @@ phi = 2.5
     def test_bool_must_be_true_or_false(self, tmp_path):
         with pytest.raises(ParseError, match="bad value"):
             parse_config(put(tmp_path, "run.cfg", "repair = yes\n"))
+
+    def test_duplicate_key_reports_both_lines(self, tmp_path):
+        text = "B = 200\nn_iter = 3\nB = 300\n"
+        with pytest.raises(ParseError, match=r"line 3: duplicate key 'B' \(first set on line 1\)"):
+            parse_config(put(tmp_path, "run.cfg", text))
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        cfg = parse_config(put(tmp_path, "run.cfg", "\ufeffscenarios = C3-01\n"))
+        assert cfg.scenarios == ("C3-01",)
+
+    def test_trailing_comma_reads_like_the_cli(self, tmp_path):
+        cfg = parse_config(put(tmp_path, "run.cfg", "pi = 0.3,0.7,\nmethods = masr,\n"))
+        assert cfg.pi == (0.3, 0.7) and cfg.methods == ("masr",)
+        assert comma_list("0.3,0.7,") == ("0.3", "0.7")
 
     def test_validation_delegated_to_runconfig(self, tmp_path):
         with pytest.raises(ValidationError, match="alpha"):
@@ -478,6 +500,28 @@ class TestCliPredict:
         assert rc == 3
         assert "sums to 24" in json.loads(err)["message"]
 
+    def test_future_labels_must_match_data(self, cli_files, tmp_path, capsys):
+        _, counts, _ = cli_files
+        future = put(tmp_path, "f.csv", "study,A,B,C,E\nfuture,6,6,6,6\n")
+        rc = main(["predict", "--data", counts, "--m", "24", "--future", future, *PREDICT_FAST])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (3, "ValidationError")
+        assert "do not match" in err["message"]
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("study,A,B\n", "no data rows"),
+            ("study,a,a,b\ns1,1,2,3\ns2,4,5,6\n", "duplicate category label 'a'"),
+        ],
+    )
+    def test_table_errors_are_validation_errors(self, tmp_path, capsys, table, message):
+        rc = main(["predict", "--data", put(tmp_path, "c.csv", table), "--m", "10", *PREDICT_FAST])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.count("\n") == 1
+        assert json.loads(err)["error"] == "ValidationError"
+        assert message in json.loads(err)["message"]
+
     def test_json_inferred_from_extension(self, cli_files):
         root, counts, future = cli_files
         out_path = str(root / "iv.json")
@@ -531,6 +575,17 @@ class TestCliGenerate:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    def test_duplicate_labels_are_validation_errors(self, tmp_path, capsys):
+        rc = main([
+            "generate", "--K", "3", "--n", "10", "--phi", "1.5",
+            "--pi", "0.5,0.5", "--categories", "a,a",
+            "--out", str(tmp_path / "c.csv"),
+        ])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (3, "ValidationError")
+        assert "duplicate category label 'a'" in err["message"]
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize(
         "phi, pi, code, error",
@@ -660,7 +715,9 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize("setting", ["B = 0", "B = 1", "alpha = 2.0"])
     def test_bad_run_setting_is_validation_error(self, tmp_path, capsys, setting):
-        cfg = put(tmp_path, "run.cfg", f"{ONE_CELL}{setting}\n")
+        # a config sets each key once, so ONE_CELL's own B goes
+        base = ONE_CELL.replace("B = 100\n", "")
+        cfg = put(tmp_path, "run.cfg", f"{base}{setting}\n")
         rc = main(["simulate", "--config", cfg])
         err = json.loads(capsys.readouterr().err)
         assert rc == 3
@@ -763,6 +820,34 @@ def test_no_module_imports_a_worker_pool():
     the whole interpreter per worker."""
     barred = ("concurrent", "multiprocessing")
     assert [at for at, name in program_imports() if name.split(".")[0] in barred] == []
+
+
+def exported(module) -> set[str]:
+    """A module's export list: its __all__, else its names without a leading underscore."""
+    return set(getattr(module, "__all__", None) or [n for n in vars(module) if n[0] != "_"])
+
+
+def test_export_lists_are_honest():
+    """Each __all__ names only what its module defines, and the package
+    re-exports only names its modules export."""
+    package = Path(mp.__file__).parent
+    modules = [importlib.import_module(f"mnpred.{p.stem}") for p in sorted(package.glob("*.py"))]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in exported(importlib.import_module(f"mnpred.{node.module}"))
+    ]
+    assert unlisted == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -52,9 +52,8 @@ class TestScenario:
             s.pi_true[0] = 0.9
 
     def test_sparse_flag(self):
-        assert cheap_scenario(pi_true=(0.02, 0.98), n=10, phi=1.5).sparse
-        assert not cheap_scenario(pi_true=(0.5, 0.5), n=10, phi=1.5).sparse
         assert cheap_scenario(pi_true=(0.02, 0.98), n=10, phi=1.5).min_expected_count == pytest.approx(0.2)
+        assert cheap_scenario(pi_true=(0.5, 0.5), n=10, phi=1.5).min_expected_count == 5.0
 
     @pytest.mark.parametrize(
         "kw",
