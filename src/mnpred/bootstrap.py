@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dm import draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
+from .dm import InversionTable, draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
 from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
 from .errors import DegenerateRankWarning, ValidationError
 from .model import (
@@ -52,9 +52,11 @@ __all__ = [
 
 # An ensemble block holds at most 500 replicates and _BLOCK_CELLS table cells,
 # so each per-block table stays near half a MB whatever K*C is.  The block is
-# part of the draw layout: block j draws its gammas, multinomial, repair
-# integers and future clusters from substream j of the ensemble stream, so a
-# new block rule moves the bytes of any ensemble larger than one block.
+# part of the draw layout: block j draws its counts, repair integers and future
+# clusters from substream j of the ensemble stream, so a new block rule moves
+# the bytes of any ensemble larger than one block.  The same bound caps the
+# ensemble's inversion tables (at most about 1 MB of CDF and guide arrays);
+# an ensemble whose tables would hold more draws gammas and multinomials.
 _BLOCK_CELLS = 1 << 16
 
 # The rank summary (empirical.rank_summary) needs at least two ensemble rows.
@@ -89,6 +91,12 @@ def build_ensemble(
     its rows of z are written.  The blocks run on the package's thread
     pool (inline when the caller is already a pool task) and each writes
     only its own rows, so the bytes are the same for any number of threads.
+
+    Clusters are drawn exactly by inversion (``dm.InversionTable``) from
+    one table per distinct historical size and one for m, built here
+    once and only read by the blocks, while those tables hold at most
+    _BLOCK_CELLS conditional-CDF cells, (C - 1)(n + 1)^2 per size;
+    larger ones draw Dirichlet gammas and multinomials instead.
     """
     rng = require_stream(rng, "build_ensemble")
     B = int(B)
@@ -98,6 +106,14 @@ def build_ensemble(
     sizes = data.cluster_sizes
     C = fit.pi_hat.shape[0]
     phi_future = clamp_dispersion(fit.phi_hat, m) if m >= 2 else fit.phi_hat
+    # The future shares a historical size's table when m and its dispersion match.
+    distinct = [int(n) for n in np.unique(sizes)]
+    shared = m in distinct and phi_future == fit.phi_hat
+    tables = future = None
+    table_sizes = distinct if shared else distinct + [m]
+    if sum(InversionTable.cells(n, C) for n in table_sizes) <= _BLOCK_CELLS:
+        tables = {n: InversionTable(n, fit.pi_hat, fit.phi_hat) for n in distinct}
+        future = tables[m] if shared else InversionTable(m, fit.pi_hat, phi_future)
     z = np.empty((B, C))
     block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
 
@@ -108,7 +124,7 @@ def build_ensemble(
         # Looked up in this module's globals at call time, so a wrapper set as
         # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
         # sees every block's draw.
-        counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=size)
+        counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=size, tables=tables)
         repair_zero_columns_in_place(counts, gen)
         # The refit of fit_model, one replicate per row.
         n_star = counts.sum(axis=2)
@@ -117,7 +133,7 @@ def build_ensemble(
         phi_star = clamp_dispersion(pearson_dispersion(counts, pi_star)[2], n_star.min(axis=1))
         del counts  # freed before the future clusters are drawn
         sep = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
-        y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size)
+        y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size, table=future)
         np.divide(y - m * pi_star, sep, out=z[rows])
 
     run_each(fill, -(-B // block))

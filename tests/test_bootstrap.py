@@ -13,7 +13,12 @@ from mnpred.bootstrap import (
     marginal_multipliers,
     rank_multipliers,
 )
-from mnpred.dm import draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
+from mnpred.dm import (
+    InversionTable,
+    draw_dm_counts,
+    repair_zero_columns_in_place,
+    sample_dm_matrix,
+)
 from mnpred.empirical import max_abs_quantile, nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
 from mnpred.model import clamp_dispersion, pearson_dispersion
@@ -30,22 +35,36 @@ def small_ensemble(histo_data, histo_fit):
     return build_ensemble(histo_fit, histo_data, spec, B=2000, rng=mp.RngStream(21))
 
 
-def block_reference(data, fit, m, B, block, seed):
+def block_reference(data, fit, m, B, block, seed, inversion=True):
     """(y_hat*, sep*, y*) drawn block by block from substream j, refitted as one table.
 
     Block j draws its counts, repair integers and futures from
-    ``RngStream(seed).child(j)``; the dispersion clamp and the standard
-    error are written out from their formulas, not taken from the package.
+    ``RngStream(seed).child(j)``: by inversion from one table per size,
+    built here, when ``inversion``, else from gammas and multinomials.
+    The dispersion clamp and the standard error are written out from
+    their formulas, not taken from the package.
     """
     phi_future = clamp_dispersion(fit.phi_hat, m)
+    tables = future = None
+    if inversion:
+        sizes = np.unique(data.cluster_sizes)
+        tables = {int(n): InversionTable(n, fit.pi_hat, fit.phi_hat) for n in sizes}
+        future = InversionTable(m, fit.pi_hat, phi_future)
     blocks, futures = [], []
     for j, i in enumerate(range(0, B, block)):
         gen = mp.RngStream(seed).child(j).generator()
         counts = sample_dm_matrix(
-            data.cluster_sizes, fit.pi_hat, fit.phi_hat, gen, size=min(block, B - i)
+            data.cluster_sizes,
+            fit.pi_hat,
+            fit.phi_hat,
+            gen,
+            size=min(block, B - i),
+            tables=tables,
         )
         blocks.append(repair_zero_columns_in_place(counts, gen))
-        futures.append(draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=counts.shape[0]))
+        futures.append(
+            draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=counts.shape[0], table=future)
+        )
     counts = np.concatenate(blocks)
     n_star = counts.sum(axis=2)
     N_star = n_star.sum(axis=1).astype(float)
@@ -62,18 +81,26 @@ class TestBuildEnsemble:
         """The vectorised refit must agree with fit_model applied row by row.
 
         B=25 is one block, drawn from substream 0 of the ensemble stream.
+        Every cluster, past and future, has 46 units, so one inversion
+        table serves the counts and the futures.
         """
         spec = mp.FutureSpec(m=46)
         B = 25
         ens = build_ensemble(histo_fit, histo_data, spec, B=B, rng=mp.RngStream(33))
 
         gen = mp.RngStream(33).child(0).generator()
+        table = InversionTable(46, histo_fit.pi_hat, histo_fit.phi_hat)
         counts = sample_dm_matrix(
-            histo_data.cluster_sizes, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
+            histo_data.cluster_sizes,
+            histo_fit.pi_hat,
+            histo_fit.phi_hat,
+            gen,
+            size=B,
+            tables={46: table},
         )
         repair_zero_columns_in_place(counts, gen)
         y_star = draw_dm_counts(
-            spec.m, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B
+            spec.m, histo_fit.pi_hat, histo_fit.phi_hat, gen, size=B, table=table
         )
         for b in range(B):
             fit_b = mp.fit_model(mp.HistoricalDataset(counts[b]))
@@ -111,16 +138,31 @@ class TestBuildEnsemble:
         The refit equals a whole-table one.  The severity table takes blocks
         of 500 replicates (B=1234: 500, 500 and 234); a K=40, C=20 table
         takes 65536 // 800 = 81 (B=250: three blocks of 81 and one of 7).
+        Both draw by inversion: their tables hold 4 x 47^2 = 8836 and
+        19 x (31^2 + 47^2) = 60230 cells.  Clusters of 30 and 200 units at
+        C=4 need 3 x (31^2 + 201^2 + 47^2) = 130713 cells, past the 65536
+        of _BLOCK_CELLS, so that ensemble draws gammas and multinomials in
+        blocks of 65536 // 160 = 409 (B=1000: 409, 409 and 182).
         """
         wide = mp.generate_dataset(
             40, 30, np.full(20, 0.05), 3.0, mp.RngStream(37).child(0), repair=True
         )
-        cases = ((histo_data, histo_fit, 1234, 500), (wide, mp.fit_model(wide), 250, 81))
+        sizes = np.where(np.arange(40) % 2 == 1, 200, 30)
+        big = mp.generate_dataset(
+            40, sizes, (0.1, 0.2, 0.3, 0.4), 3.0, mp.RngStream(37).child(1), repair=True
+        )
+        cases = (
+            (histo_data, histo_fit, 1234, 500, True),
+            (wide, mp.fit_model(wide), 250, 81, True),
+            (big, mp.fit_model(big), 1000, 409, False),
+        )
         spec, m = mp.FutureSpec(m=46), 46
-        for data, fit, B, block in cases:
+        for data, fit, B, block, inversion in cases:
             assert -(-B // block) >= 3 and B % block  # a short last block
             ens = build_ensemble(fit, data, spec, B, mp.RngStream(34))
-            y_hat_star, sep_star, y_star = block_reference(data, fit, m, B, block, 34)
+            y_hat_star, sep_star, y_star = block_reference(
+                data, fit, m, B, block, 34, inversion
+            )
             z = (y_star - y_hat_star) / sep_star
             assert ens.z.dtype == z.dtype and ens.z.tobytes() == z.tobytes()
 

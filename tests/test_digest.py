@@ -32,10 +32,10 @@ WIDE = [
 BOOTSTRAP = "symmetric,asymmetric,marginal,masr,rank-scs"
 
 DIGESTS = {
-    "predict-frequentist": "sha256:a4f530dc5d075510c2c2d75d5fc2b7b4b0a19f6f115371672080bc7b79f100da",
-    "predict-all": "sha256:5b217b9e92ac8e51bcacfe9075a6bea5a310f4be58546949e18c40121b488f60",
+    "predict-frequentist": "sha256:678d4f17e634beecbbcedade456ecb786d01fcfd10cbcf8ae55b0df5affd5d96",
+    "predict-all": "sha256:33352accd699b916ce505b63cbcd6893b4d3075b567b17f45699c301b1017556",
     "simulate-cell": "sha256:1a17b5e15a5780b4f1ae4f9e50e8b02cab6f67a068b572952de09a3ab5e975ae",
-    "predict-blocks": "sha256:0ce7b230571abad1498038e60e3fc2bae23329784059f167205fda71e6afcabf",
+    "predict-blocks": "sha256:d98ed06de8e7dfd0a3a52718808984ff659a85a26b63fcf3009e91f26e8cf792",
 }
 
 

@@ -1,11 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import mnpred as mp
+from mnpred.bayes import dm_log_pmf
 from mnpred.dm import (
     _MAX_REDRAWS,
+    InversionTable,
     _checked_probs,
     derive_eta0,
     draw_dm_counts,
@@ -175,6 +181,138 @@ class TestGenerateDataset:
             4, 46, (0.224, 0.466, 0.273, 0.031, 0.004), 3.19, mp.RngStream(22), repair=True
         )
         assert data.n_categories == 5
+
+
+class TestWholeSizes:
+    """A size a cast would truncate is refused; whole floats draw the same bytes as ints."""
+
+    def test_generate_dataset_fractional_size(self):
+        with pytest.raises(ValidationError, match="whole number, got 10.7"):
+            mp.generate_dataset(3, 10.7, (0.5, 0.5), 2.0, mp.RngStream(23))
+
+    def test_sample_dm_counts_fractional_size(self):
+        with pytest.raises(ValidationError, match="whole number, got 10.9"):
+            mp.sample_dm_counts(10.9, (0.5, 0.5), 2.0, mp.RngStream(24))
+
+    def test_sample_dm_matrix_fractional_size(self):
+        with pytest.raises(ValidationError, match="whole number"):
+            sample_dm_matrix([10, 20.5], (0.5, 0.5), 2.0, mp.RngStream(25).generator())
+
+    def test_generate_dataset_fractional_cluster_count(self):
+        with pytest.raises(ValidationError, match="number of clusters must be a whole number"):
+            mp.generate_dataset(2.5, 10, (0.5, 0.5), 2.0, mp.RngStream(26))
+
+    def test_generate_dataset_size_vector_length(self):
+        with pytest.raises(ValidationError, match="one cluster size or K=3 of them"):
+            mp.generate_dataset(3, [10, 20], (0.5, 0.5), 2.0, mp.RngStream(27))
+
+    def test_whole_floats_draw_the_same_bytes(self):
+        a = mp.generate_dataset(3.0, [10.0, 20.0, 30.0], (0.5, 0.5), 2.0, mp.RngStream(28))
+        b = mp.generate_dataset(3, [10, 20, 30], (0.5, 0.5), 2.0, mp.RngStream(28))
+        assert a.counts.tobytes() == b.counts.tobytes()
+        x = mp.sample_dm_counts(12.0, (0.5, 0.5), 2.0, mp.RngStream(29), size=5)
+        y = mp.sample_dm_counts(12, (0.5, 0.5), 2.0, mp.RngStream(29), size=5)
+        assert x.tobytes() == y.tobytes()
+
+
+def beta_binomial_cdf(r, a, b):
+    """CDF of BetaBinomial(r, a, b) at k = 0..r, from math.lgamma."""
+    log_pmf = [
+        math.lgamma(r + 1) - math.lgamma(k + 1) - math.lgamma(r - k + 1)
+        + math.lgamma(k + a) + math.lgamma(r - k + b) - math.lgamma(r + a + b)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        for k in range(r + 1)
+    ]
+    return np.cumsum(np.exp(log_pmf))
+
+
+class TestInversionTable:
+    """Exact conditional laws, exact inversion, and draws that follow the DM pmf."""
+
+    SEVERITY = np.array((0.224, 0.466, 0.273, 0.031, 0.004)) / 0.998
+
+    @pytest.mark.parametrize(
+        "n, phi, concentration",
+        [
+            (46, 3.19, derive_eta0(46, 3.19)),
+            # the dispersion clamp of a refit, 0.975 n: eta0 is 0.026 and eta_5 1e-4
+            (40, 39.0, derive_eta0(40, 39.0)),
+            # a one-unit future: derive_eta0 has no value at n=1, and the law is pi's
+            (1, 1.01, 1.0),
+        ],
+        ids=["severity", "clamped", "unit-future"],
+    )
+    def test_conditional_cdfs_match_lgamma(self, n, phi, concentration):
+        table = InversionTable(n, self.SEVERITY, phi)
+        eta = concentration * self.SEVERITY
+        assert table.cdf.shape == (4, n + 1, n + 1) and table.n_uniforms == 4
+        for c in range(4):
+            for r in sorted({0, 1, n // 2, n}):
+                want = beta_binomial_cdf(r, eta[c], eta[c + 1 :].sum())
+                np.testing.assert_allclose(table.cdf[c, r, : r + 1], want, rtol=0, atol=1e-12)
+                assert np.all(table.cdf[c, r, r:] == 1.0)
+
+    @pytest.mark.parametrize("n, phi", [(46, 3.19), (40, 39.0), (7, 1.01), (1, 1.01)])
+    def test_draws_invert_the_conditional_cdfs(self, n, phi):
+        """Each count is #{k : F(k | r) <= u}, the guide only saves the search.
+
+        The uniforms include every bucket edge i/G, each tabulated CDF value
+        and the largest double below 1.
+        """
+        table = InversionTable(n, self.SEVERITY, phi)
+        G = table.guide_size
+        edges = np.concatenate([
+            np.arange(G) / G,
+            table.cdf[table.cdf < 1.0],
+            [np.nextafter(1.0, 0.0)],
+            mp.RngStream(30).generator().random(20_000),
+        ])
+        u = np.tile(edges, (table.n_uniforms, 1))
+        for c in range(table.n_uniforms):
+            mp.RngStream(31).child(c).generator().shuffle(u[c])
+        got = table.draw(u)
+        left = np.full(u.shape[1], n)
+        for c in range(table.n_uniforms):
+            want = np.count_nonzero(table.cdf[c, left] <= u[c][:, None], axis=1)
+            np.testing.assert_array_equal(got[:, c], want)
+            left -= want
+        np.testing.assert_array_equal(got[:, -1], left)
+
+    def test_draws_follow_the_dm_pmf(self):
+        """A chi-square test of 200000 draws against the enumerated DM(6, eta) pmf."""
+        n, pi, phi = 6, np.array([0.2, 0.3, 0.5]), 2.5
+        eta = derive_eta0(n, phi) * pi
+        table = InversionTable(n, pi, phi)
+        draws = table.draw(mp.RngStream(32).generator().random((2, 200_000)))
+        cells = [x for x in itertools.product(range(n + 1), repeat=3) if sum(x) == n]
+        index = {x: i for i, x in enumerate(cells)}
+        observed = np.bincount([index[tuple(x)] for x in draws.tolist()], minlength=len(cells))
+        expected = 200_000 * np.exp([dm_log_pmf(x, n, eta) for x in cells])
+        assert expected.min() > 5.0
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.999, len(cells) - 1)
+
+    def test_structural_zeros_stay_empty(self):
+        table = InversionTable(12, (0.5, 0.0, 0.3, 0.2, 0.0), 3.0)
+        assert table.n_uniforms == 2
+        draws = table.draw(mp.RngStream(33).generator().random((2, 500)))
+        assert np.all(draws[:, [1, 4]] == 0)
+        assert np.all(draws.sum(axis=1) == 12)
+        only = InversionTable(9, (0.0, 1.0), 3.0)
+        np.testing.assert_array_equal(only.draw(np.empty((0, 3))), [[0, 9]] * 3)
+
+    def test_matrix_layout(self):
+        """One uniform array (n_uniforms, B * K_n) per distinct size n, in size order."""
+        sizes, pi, phi, B = [10, 30, 20, 30], (0.1, 0.2, 0.3, 0.4), 3.0, 7
+        tables = {n: InversionTable(n, pi, phi) for n in (10, 20, 30)}
+        got = sample_dm_matrix(sizes, pi, phi, mp.RngStream(34).generator(), B, tables=tables)
+        gen = mp.RngStream(34).generator()
+        want = np.empty((B, 4, 4), dtype=np.int64)
+        for n, where in ((10, [0]), (20, [2]), (30, [1, 3])):
+            u = gen.random((3, B * len(where)))
+            want[:, where] = tables[n].draw(u).reshape(B, len(where), 4)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got.sum(axis=2), np.tile(sizes, (B, 1)))
 
 
 # Reference copies of the draws as they were before the ensemble stopped
