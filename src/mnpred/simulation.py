@@ -22,7 +22,7 @@ from .dm import _checked_probs, derive_eta0, generate_dataset, sample_dm_counts
 from .errors import FailureCapError, MnpredError, ValidationError
 from .methods import FREQUENTIST_METHODS, compute_intervals, resolve_methods
 from .model import FutureSpec, fit_model
-from .pool import run_each
+from .pool import run_in_order
 from .rng import RngStream
 
 __all__ = [
@@ -163,10 +163,13 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
     Iteration i draws all of its randomness from substreams of
     (seed, i), so any subset of iterations can be reproduced in
     isolation and results are independent of scheduling.  The iterations
-    run on the package's thread pool, and their results are merged in
-    iteration order.  Iterations that fail (for example a zero category
-    with repair disabled) are skipped and counted by exception class, up
-    to a cap of 5% of n_iter.
+    run in contiguous chunks on the package's worker processes
+    (``pool.run_in_order``), one chunk per usable core, each on one
+    thread, and their results and warnings are merged in iteration
+    order, so the report is the serial loop's whatever the number of
+    workers.  Iterations that fail (for example a zero category with
+    repair disabled) are skipped and counted by exception class, up to a
+    cap of 5% of n_iter.
     """
     t0 = time.perf_counter()
     requests = resolve_methods(scenario.methods, scenario.priors)
@@ -181,16 +184,17 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
     }
     root = RngStream(scenario.seed)
     spec = FutureSpec(m=scenario.m, alpha=scenario.alpha)
-    # Slot i holds iteration i's per-method (y < lower, y > upper) masks, or
-    # the class name of the MnpredError it raised (not the error, whose
-    # traceback would keep the iteration's arrays alive).
-    results: list = [None] * scenario.n_iter
-    failed: list[int] = []
     cap = _FAILURE_CAP * scenario.n_iter
+    failed: list[int] = []  # iterations that failed in this process
 
-    def iterate(i: int) -> None:
+    def iterate(i: int):
+        """Iteration i's per-method (y < lower, y > upper) masks, or the
+        class name of the MnpredError it raised (not the error, whose
+        traceback would keep the iteration's arrays alive)."""
         if len(failed) > cap:
-            return  # the merge below raises FailureCapError whatever this slot holds
+            # Reached only in a worker process, which cannot see the failures
+            # of the chunks before its own: the merge trips at or before here.
+            return None
         it = root.child(i)
         try:
             data = generate_dataset(
@@ -218,24 +222,20 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
                 warmup=scenario.warmup,
             )
         except MnpredError as exc:
-            results[i] = type(exc).__name__
             failed.append(i)
-            return
-        results[i] = {
+            return type(exc).__name__
+        return {
             method_id: (y < intervals.lower, y > intervals.upper)
             for method_id, intervals in sets.items()
         }
 
-    run_each(iterate, scenario.n_iter)
     failures: dict[str, int] = {}
-    n_failed = 0
-    n_completed = 0
-    # Merged in iteration order, so the failure cap trips at the same
-    # iteration, with the same message, whatever the number of threads.
-    # Slots stay empty only once more than the cap have failed.
-    for result in results:
-        if result is None:
-            continue
+    n_failed = n_completed = 0
+
+    def merge(result) -> None:
+        # Called in iteration order, so the failure cap trips at the same
+        # iteration, with the same message, whatever the number of workers.
+        nonlocal n_failed, n_completed
         if isinstance(result, str):
             failures[result] = failures.get(result, 0) + 1
             n_failed += 1
@@ -244,7 +244,7 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
                     f"{n_failed} of {scenario.n_iter} iterations failed "
                     f"(cap {_FAILURE_CAP:.0%}) in scenario {scenario.scenario_id}"
                 )
-            continue
+            return
         n_completed += 1
         for method_id, (below, above) in result.items():
             out = outcomes[method_id]
@@ -252,6 +252,8 @@ def run_simulation(scenario: Scenario) -> SimulationReport:
             out.contained += int(not (below.any() or above.any()))
             out.below_lower += below
             out.above_upper += above
+
+    run_in_order(iterate, scenario.n_iter, merge)
     return SimulationReport(
         scenario=scenario,
         outcomes=outcomes,

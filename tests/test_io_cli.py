@@ -649,6 +649,37 @@ class TestCliSimulate:
         assert lines[0] == ",".join(SIMULATION_COLUMNS)
         assert len(lines) == 1 + 2 * 3
 
+    def test_stdout_same_bytes_for_any_worker_count(self, tmp_path, capfd, monkeypatch):
+        """Text still buffered in sys.stdout when the workers fork is written once,
+        even where an iteration flushes sys.stdout in a worker process."""
+        caller = os.getpid()
+
+        def flushing(*args, **kwargs):
+            if os.getpid() != caller:
+                sys.stdout.flush()
+            return mp.generate_dataset(*args, **kwargs)
+
+        monkeypatch.setattr("mnpred.simulation.generate_dataset", flushing)
+        # Block-buffered, as sys.stdout is when it is redirected to a file or a pipe.
+        stdout = open(1, "w", encoding="utf-8", closefd=False)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cfg = put(
+            tmp_path,
+            "run.cfg",
+            "pi = 0.3,0.3,0.4\nK = 5\nn = 20\nphi = 2.0\nn_iter = 6\n"
+            "methods = pointwise,bonferroni\nB = 200\nseed = 11\n",
+        )
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            stdout.write("pending,")
+            assert main(["simulate", "--config", cfg]) == 0
+            stdout.flush()
+            outs.append(capfd.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].count("pending,") == 1
+        assert outs[0].startswith("pending," + ",".join(SIMULATION_COLUMNS) + "\n")
+
     def test_custom_cell_needs_grid_values(self, tmp_path, capsys):
         cfg = put(tmp_path, "run.cfg", "pi = 0.3,0.7\nK = 5\nn = 20\n")
         rc = main(["simulate", "--config", cfg])

@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+import time
 import warnings
 from dataclasses import fields, replace
 
@@ -158,12 +160,28 @@ def failing_scenario():
     )
 
 
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def appender(path):
+    """A callable that appends one line to path, from whichever process calls it."""
+
+    def append(line: str) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    return append
+
+
 class TestParallelIterations:
-    """The iterations run on the package's thread pool; the report never depends on it.
+    """The iterations run in chunks on forked worker processes; the report never depends on it.
 
     The cell has failing iterations (repair disabled) and bootstrap methods
     whose ensembles take three blocks of 500 replicates, so the nested
-    block calls run inline on the iteration threads.
+    block calls run inline in each worker process.
     """
 
     @staticmethod
@@ -188,71 +206,178 @@ class TestParallelIterations:
         for r in reports:  # 2 of 40 iterations draw an empty category, under the 5% cap
             assert (r.n_completed, r.n_failed, r.failures) == (38, 2, {"ZeroCategory": 2})
 
-    def test_failure_cap_same_error_for_any_worker_count(self, monkeypatch):
+    def test_failure_cap_same_error_for_any_worker_count(self, monkeypatch, tmp_path):
         """The cap trips with the serial loop's message, and no iteration starts once it must.
 
-        The cell's first iteration fails as it draws its table, and one
-        failure trips the cap: one iteration starts on one worker, and at
-        most one per thread on two.
+        The cell's first iteration fails, and one failure trips the cap: one
+        iteration starts on one worker, and at most one per process on two
+        (the caller forks only once the first iteration has been merged),
+        counted in a file that worker processes would append to.
         """
+        log = tmp_path / "started"
+        record = appender(log)
         messages, started = [], []
 
         def counted(*args, **kwargs):
-            started[-1] += 1
+            record(str(os.getpid()))
             return generate_dataset(*args, **kwargs)
 
         monkeypatch.setattr("mnpred.simulation.generate_dataset", counted)
         for workers in (1, 2):
             monkeypatch.setattr("mnpred.pool._WORKERS", workers)
-            started.append(0)
+            log.write_text("")
             with pytest.raises(FailureCapError) as caught:
                 run_simulation(failing_scenario())
             messages.append(str(caught.value))
+            started.append(len(log.read_text().splitlines()))
         assert messages[0] == messages[1] == "1 of 10 iterations failed (cap 5%) in scenario custom"
         assert started[0] == 1 and started[1] <= 2
+        assert_no_child_left()
 
-    def test_nested_blocks_start_no_thread(self, monkeypatch):
-        """At most _WORKERS threads run: the ensemble blocks of an iteration run on its thread.
+    def test_each_process_draws_on_one_thread(self, monkeypatch, tmp_path):
+        """At most _WORKERS processes draw, each on its one thread, and none outlives the call.
 
-        Three workers, a short switch interval, and a draw wrapper that
-        records how many threads are alive and which thread draws.
+        Three workers, and a draw wrapper that appends which process draws
+        and how many threads it has alive to a file, so the records of the
+        worker processes survive them.
         """
         workers = 3
         monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         want = self.report_bytes(run_simulation(self.scenario()))
-        alive, drawers = [], set()
+        log = tmp_path / "draws"
+        record = appender(log)
 
         def counted(*args, **kwargs):
-            alive.append(threading.active_count())
-            drawers.add(threading.get_ident())
+            record(f"{os.getpid()} {threading.active_count()}")
             return sample_dm_matrix(*args, **kwargs)
 
         monkeypatch.setattr("mnpred.pool._WORKERS", workers)
         monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", counted)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = self.report_bytes(run_simulation(self.scenario()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert len(alive) == 3 * 38  # three blocks per completed iteration
-        assert max(alive) - before <= workers - 1
-        assert len(drawers) > 1
+        got = self.report_bytes(run_simulation(self.scenario()))
+        draws = [line.split() for line in log.read_text().splitlines()]
+        assert len(draws) == 3 * 38  # three blocks per completed iteration
+        assert {alive for _, alive in draws} == {"1"}
+        assert 1 < len({pid for pid, _ in draws}) <= workers
+        assert_no_child_left()
         assert got == want
 
-    def test_same_warnings_for_any_worker_count(self, monkeypatch):
-        # B=20 puts the rank-scs critical rank at the ensemble edge in most iterations
+    @staticmethod
+    def warnings_seen(monkeypatch, action):
+        """The (category, message) sequence of each worker count's run, under one filter action.
+
+        B=20 puts the rank-scs critical rank at the ensemble edge in most iterations.
+        """
         s = cheap_scenario(methods=("rank-scs", "marginal"), B=20, n_iter=12)
-        counts = []
-        for workers in (1, 2):
+        seen = []
+        for workers in (1, 2, 3):
             monkeypatch.setattr("mnpred.pool._WORKERS", workers)
             with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+                warnings.simplefilter(action)
                 run_simulation(s)
-            counts.append(len(caught))
-        assert counts[0] == counts[1] > 0
+            seen.append([(w.category, str(w.message)) for w in caught])
+        return seen
+
+    def test_same_warnings_for_any_worker_count(self, monkeypatch):
+        """The worker processes' warnings reach the caller in iteration order."""
+        seen = self.warnings_seen(monkeypatch, "always")
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) > 1
+
+    def test_warning_filters_apply_across_processes(self, monkeypatch):
+        """Under the "default" action a warning shows once, however many processes issued it."""
+        seen = self.warnings_seen(monkeypatch, "default")
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) == 1
+
+
+class TestWorkerProcesses:
+    """What a worker process raises reaches the caller, and no worker outlives the call."""
+
+    @staticmethod
+    def run(monkeypatch, draw, workers=3):
+        monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+        monkeypatch.setattr("mnpred.simulation.generate_dataset", draw)
+        return run_simulation(cheap_scenario(n_iter=9))
+
+    def test_child_error_reraises_with_its_class_and_message(self, monkeypatch):
+        caller = os.getpid()
+
+        def draw(*args, **kwargs):
+            if os.getpid() != caller:
+                raise RuntimeError("raised in a worker process")
+            return generate_dataset(*args, **kwargs)
+
+        with pytest.raises(RuntimeError) as caught:
+            self.run(monkeypatch, draw)
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == "raised in a worker process"
+        if sys.version_info >= (3, 11):  # the child's traceback travels as a note
+            assert "in draw" in caught.value.__notes__[0]
+        assert_no_child_left()
+
+    def test_child_that_dies_names_its_exit_status(self, monkeypatch):
+        caller = os.getpid()
+
+        def draw(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(3)
+            return generate_dataset(*args, **kwargs)
+
+        with pytest.raises(RuntimeError, match=r"worker process \d+ exited with status 3 "):
+            self.run(monkeypatch, draw)
+        assert_no_child_left()
+
+    def test_callers_error_kills_the_children(self, monkeypatch):
+        """The caller's own chunk raises, after the fork, while the children would draw for a minute."""
+        caller, calls = os.getpid(), []
+
+        def draw(*args, **kwargs):
+            if os.getpid() != caller:
+                time.sleep(60)
+            calls.append(1)
+            if len(calls) > 1:  # the caller's second iteration: its children run
+                raise RuntimeError("raised in the caller")
+            return generate_dataset(*args, **kwargs)
+
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="raised in the caller"):
+            self.run(monkeypatch, draw)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["other-thread", "not-linux", "no-fork"])
+    def test_no_fork_where_it_is_unsafe(self, monkeypatch, case):
+        """The iterations run in process, with the same bytes, wherever a fork is unsafe."""
+        s = cheap_scenario(n_iter=9)
+        report_bytes = TestParallelIterations.report_bytes
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+        want = report_bytes(run_simulation(s))
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 2)
+        assert report_bytes(run_simulation(s)) == want
+        assert len(forks) == 1  # the wrapper sees a safe fork
+        forks.clear()
+        got = []
+        if case == "other-thread":
+            runner = threading.Thread(target=lambda: got.append(report_bytes(run_simulation(s))))
+            runner.start()
+            runner.join()
+        else:
+            if case == "not-linux":
+                monkeypatch.setattr(sys, "platform", "darwin")
+            elif case == "no-fork":
+                monkeypatch.delattr(os, "fork")
+            got.append(report_bytes(run_simulation(s)))
+        assert got == [want]
+        assert forks == []
+        assert_no_child_left()
 
 
 class TestTailBalance:
