@@ -9,6 +9,7 @@ constructions, together with a Monte-Carlo harness for coverage studies.
 from .asymptotic import (
     bonferroni_interval,
     equicoordinate_quantile,
+    multinomial_equicoordinate_quantile,
     mvn_interval,
     pointwise_interval,
     prediction_covariance,

@@ -96,7 +96,13 @@ def build_ensemble(
     one table per distinct historical size and one for m, built here
     once and only read by the blocks, while those tables hold at most
     _BLOCK_CELLS conditional-CDF cells, (C - 1)(n + 1)^2 per size;
-    larger ones draw Dirichlet gammas and multinomials instead.
+    larger ones draw Dirichlet gammas and multinomials instead.  Numpy's
+    gamma and multinomial loops release the interpreter lock, so those
+    blocks gain from a second thread.  The table draw and the refit hold
+    it, so inversion blocks run a little slower on two threads than on
+    one, but spreading them over the cores keeps a call's time steady
+    where the cores run at different speeds; on one thread it follows
+    whichever core it sits on.
     """
     rng = require_stream(rng, "build_ensemble")
     B = int(B)

@@ -68,7 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=run.warmup, help="accepted for old scripts; has no effect"
     )
     p.add_argument("--prior", default="cauchy", help="comma list from {cauchy, beta}")
-    p.add_argument("--mvn-draws", type=int, default=run.mvn_draws)
+    p.add_argument(
+        "--mvn-draws",
+        type=int,
+        default=run.mvn_draws,
+        help="accepted for old scripts; has no effect",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_predict)
 

@@ -47,7 +47,8 @@ FREQUENTIST_METHODS = ("pointwise", "bonferroni", "mvn") + _BOOTSTRAP_METHODS
 BAYES_CONSTRUCTIONS = ("bayes-bonf", "bayes-mean", "bayes-scs")
 
 # Fixed substream indices per shared resource (see module docstring): the
-# ensemble and the mvn draws, then each prior's posterior and predictive.
+# ensemble, the mvn slot (mvn_interval checks its stream but draws nothing),
+# then each prior's posterior and predictive.
 _STREAM_ENSEMBLE = 0
 _STREAM_MVN = 1
 _PRIOR_TABLE = {

@@ -140,10 +140,11 @@ class PredictSettings:
     """Run lengths of ``predict``.
 
     ``PREDICT_DEFAULTS`` is the one place their defaults are written: the
-    CLI, ``compute_intervals``, ``mcmc_sample`` and the MVN quantile read
+    CLI, ``compute_intervals``, ``mcmc_sample`` and ``mvn_interval`` read
     them from it.  ``simulate`` keeps its own set on ``Scenario``.
     ``chains`` counts the posterior sampler's batches and ``sampling_iters``
-    its draws per batch; ``warmup`` has no effect.
+    its draws per batch; ``warmup`` has no effect, and neither has
+    ``mvn_draws``, since the mvn quantile is computed without draws.
     """
 
     B: int = 10_000

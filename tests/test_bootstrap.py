@@ -167,11 +167,39 @@ class TestBuildEnsemble:
             assert ens.z.dtype == z.dtype and ens.z.tobytes() == z.tobytes()
 
 
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
 class TestParallelBlocks:
-    """The blocks run on one thread per usable core; the bytes never depend on it."""
+    """The blocks run on one thread per usable core on either route; the bytes never depend on it.
+
+    Most tests force the gamma route: the severity table's inversion
+    tables hold 4 x 47^2 = 8836 cells, so a cap one cell lower sends it
+    down that route, in blocks of min(500, 8835 // 50) = 176 replicates.
+    """
+
+    @pytest.fixture
+    def block(self, monkeypatch, histo_data):
+        """Force the gamma route on the severity table; return its block size."""
+        K, C = histo_data.counts.shape
+        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
+        return min(500, (InversionTable.cells(46, C) - 1) // (K * C))
 
     @pytest.mark.parametrize("B", [30, 1234])
-    def test_same_bytes_for_any_worker_count(self, monkeypatch, histo_data, histo_fit, B):
+    def test_same_bytes_for_any_worker_count(
+        self, monkeypatch, histo_data, histo_fit, block, thread_starts, B
+    ):
         spec = mp.FutureSpec(m=46)
         runs = []
         for workers in (1, 3):
@@ -179,8 +207,12 @@ class TestParallelBlocks:
             runs.append(build_ensemble(histo_fit, histo_data, spec, B, mp.RngStream(38)))
         a, b = (ens.z for ens in runs)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # One block runs on the caller; more start the two helper threads.
+        assert len(thread_starts) == (2 if B > block else 0)
 
-    def test_every_block_runs_once_under_contention(self, monkeypatch, histo_data, histo_fit):
+    def test_every_block_runs_once_under_contention(
+        self, monkeypatch, histo_data, histo_fit, block, thread_starts
+    ):
         """More workers than cores and a short switch interval: no block is lost or repeated."""
         spec = mp.FutureSpec(m=46)
         monkeypatch.setattr("mnpred.pool._WORKERS", 1)
@@ -199,14 +231,17 @@ class TestParallelBlocks:
             got = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(sizes) == [234] + [500] * 10
+        assert sorted(sizes) == [5234 % block] + [block] * (5234 // block)
         assert got.z.tobytes() == want.z.tobytes()
+        assert len(thread_starts) == 7
 
-    def test_block_error_reaches_the_caller(self, monkeypatch, histo_data, histo_fit):
+    def test_block_error_reaches_the_caller(
+        self, monkeypatch, histo_data, histo_fit, block, thread_starts
+    ):
         """A block's exception is re-raised after every helper thread has been joined."""
 
         def failing(*args, **kwargs):
-            if kwargs["size"] == 234:
+            if kwargs["size"] == 1234 % block:
                 raise RuntimeError("block failed")
             return sample_dm_matrix(*args, **kwargs)
 
@@ -215,7 +250,20 @@ class TestParallelBlocks:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
             build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(39))
+        assert len(thread_starts) == 2
         assert threading.active_count() == before
+
+    def test_inversion_blocks_run_on_threads(
+        self, monkeypatch, histo_data, histo_fit, thread_starts
+    ):
+        """On the table route the blocks of 500 replicates run on threads too, with the same bytes."""
+        spec = mp.FutureSpec(m=46)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            runs.append(build_ensemble(histo_fit, histo_data, spec, 1234, mp.RngStream(38)))
+        assert runs[0].z.tobytes() == runs[1].z.tobytes()
+        assert len(thread_starts) == 2
 
 
 class TestEnsembleMemory:
@@ -309,7 +357,7 @@ class TestEnsembleMemory:
             tracemalloc.stop()
         assert peak < 4 * B * C * 8
 
-    def test_each_worker_adds_at_most_one_block(self, monkeypatch):
+    def test_each_worker_adds_at_most_one_block(self, monkeypatch, thread_starts):
         """Each extra thread holds one block's working set, not a share of B.
 
         A block of 131 replicates (65536 // 500 cells) holds its counts and
@@ -332,6 +380,7 @@ class TestEnsembleMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert len(thread_starts) == 2
         assert peaks[1] - peaks[0] < 2 * 5 * 131 * K * C * 8
 
 def test_ensemble_draw_goes_through_the_module_global(monkeypatch, histo_data, histo_fit):

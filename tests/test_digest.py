@@ -32,8 +32,8 @@ WIDE = [
 BOOTSTRAP = "symmetric,asymmetric,marginal,masr,rank-scs"
 
 DIGESTS = {
-    "predict-frequentist": "sha256:678d4f17e634beecbbcedade456ecb786d01fcfd10cbcf8ae55b0df5affd5d96",
-    "predict-all": "sha256:33352accd699b916ce505b63cbcd6893b4d3075b567b17f45699c301b1017556",
+    "predict-frequentist": "sha256:b1221642600f9bbe46a047c300ddf4437fff6304ef56b8d4ceef3595523d05ce",
+    "predict-all": "sha256:4d946f4d20257abb3aab560cc216a7f4c337e5faf27ed68aafc7e0efb48f7bc4",
     "simulate-cell": "sha256:1a17b5e15a5780b4f1ae4f9e50e8b02cab6f67a068b572952de09a3ab5e975ae",
     "predict-blocks": "sha256:d98ed06de8e7dfd0a3a52718808984ff659a85a26b63fcf3009e91f26e8cf792",
 }
