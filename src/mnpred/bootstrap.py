@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dm import InversionTable, draw_dm_counts, repair_zero_columns_in_place, sample_dm_matrix
+from .dm import InversionTable, draw_dm_counts, repair_zero_columns, sample_dm_matrix
 from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
 from .errors import DegenerateRankWarning, ValidationError
 from .model import (
@@ -89,7 +89,8 @@ def build_ensemble(
     block at a time, block j from ``rng.child(j)``, so no B x K x C
     table is ever held; a block's refit and futures are dropped once
     its rows of z are written.  The blocks run on the package's thread
-    pool (inline when the caller is already a pool task) and each writes
+    pool (inline when the caller is already a pool task, as in a simulate
+    worker or a predict call whose priors run beside it) and each writes
     only its own rows, so the bytes are the same for any number of threads.
 
     Clusters are drawn exactly by inversion (``dm.InversionTable``) from
@@ -131,12 +132,17 @@ def build_ensemble(
         # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
         # sees every block's draw.
         counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=size, tables=tables)
-        repair_zero_columns_in_place(counts, gen)
-        # The refit of fit_model, one replicate per row.
-        n_star = counts.sum(axis=2)
+        # The refit of fit_model, one replicate per row.  Each drawn cluster
+        # holds its historical size, so the sizes are those plus the repair's
+        # units, and the repair's column totals are the refit's.
+        totals = counts.sum(axis=1)
+        added = repair_zero_columns(counts, totals, gen)
+        n_star = np.tile(sizes, (size, 1))
+        np.add.at(n_star, added, 1)
         N_star = n_star.sum(axis=1)
-        pi_star = counts.sum(axis=1) / N_star[:, None]
-        phi_star = clamp_dispersion(pearson_dispersion(counts, pi_star)[2], n_star.min(axis=1))
+        pi_star = totals / N_star[:, None]
+        phi_raw = pearson_dispersion(counts, pi_star, n_star)[2]
+        phi_star = clamp_dispersion(phi_raw, n_star.min(axis=1))
         del counts  # freed before the future clusters are drawn
         sep = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
         y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size, table=future)

@@ -267,19 +267,32 @@ def sample_dm_matrix(
 
 
 def repair_zero_columns_in_place(counts: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """``repair_zero_columns`` on a single K x C matrix or a batch stacked
+    along the first axis; ``counts`` is repaired in place and returned."""
+    table = counts[None] if counts.ndim == 2 else counts
+    repair_zero_columns(table, table.sum(axis=1), gen)
+    return counts
+
+
+def repair_zero_columns(
+    table: np.ndarray, totals: np.ndarray, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Give every empty category one unit in a uniformly chosen cluster.
 
-    Accepts a single K x C matrix or a batch stacked along the first
-    axis.  The chosen cluster's size grows by one, mirroring how an
-    extra observation would enter the pooled data.  ``counts`` is
-    repaired in place and returned.
+    ``table`` is a (B, K, C) batch and ``totals`` its column totals
+    ``table.sum(axis=1)``; both are repaired in place.  The chosen
+    cluster's size grows by one, mirroring how an extra observation would
+    enter the pooled data.  Returns the (replicate, cluster) index pair
+    of each unit added, so a caller can update the cluster sizes without
+    summing the table again.
     """
-    table = counts[None] if counts.ndim == 2 else counts
-    batch_idx, col_idx = np.nonzero(table.sum(axis=1) == 0)
-    if batch_idx.shape[0]:
-        rows = gen.integers(0, table.shape[1], size=batch_idx.shape[0])
-        table[batch_idx, rows, col_idx] += 1
-    return counts
+    batch_idx, col_idx = np.nonzero(totals == 0)
+    if not batch_idx.shape[0]:
+        return batch_idx, batch_idx
+    rows = gen.integers(0, table.shape[1], size=batch_idx.shape[0])
+    table[batch_idx, rows, col_idx] += 1
+    totals[batch_idx, col_idx] = 1
+    return batch_idx, rows
 
 
 def generate_dataset(

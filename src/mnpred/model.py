@@ -203,18 +203,22 @@ def residual_df(n_clusters: int, n_categories: int) -> int:
     return n_clusters * n_categories - n_clusters - (n_categories - 1)
 
 
-def pearson_dispersion(counts: np.ndarray, pi: np.ndarray):
+def pearson_dispersion(counts: np.ndarray, pi: np.ndarray, sizes: np.ndarray | None = None):
     """Pearson chi^2, mean relative residual s_bar and raw Afroz-Fletcher dispersion.
 
     ``counts`` has shape (..., K, C) and ``pi`` the matching (..., C); each
     K x C table is compared with its cluster-wise expectations n_k * pi.
+    ``sizes``, the cluster sizes ``counts.sum(axis=-1)``, is summed here
+    unless the caller already holds it.
     The dispersion is chi^2/df / (1 + s_bar), infinite where 1 + s_bar is
     zero, and not clamped (it may be <= 1).  Dividing by one plus the mean
     relative residual removes the leading small-K bias of the plain Pearson
     ratio.  Inputs are not validated.
     """
     K, C = counts.shape[-2:]
-    expected = counts.sum(axis=-1)[..., :, None] * pi[..., None, :]
+    if sizes is None:
+        sizes = counts.sum(axis=-1)
+    expected = sizes[..., :, None] * pi[..., None, :]
     resid = counts - expected
     # In place, so no more than three table-sized arrays are live at once.
     terms = resid * resid

@@ -1,9 +1,11 @@
 """The package's workers, one per usable core: processes for a simulation's
-iterations, threads for an ensemble's blocks.
+iterations and a predict call's method families, threads for an
+ensemble's blocks.
 
-Work is split into numbered tasks (a simulation's iterations, an
-ensemble's blocks), each drawing only from its own substream, so the
-result never depends on the number of workers.
+Work is split into numbered tasks (a simulation's iterations, the method
+families of ``methods.compute_intervals``, an ensemble's blocks), each
+drawing only from its own substreams, so the result never depends on the
+number of workers.
 
 ``run_in_order`` splits its tasks into contiguous ranges, one per worker.
 The caller runs the first and largest range itself and a forked child

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,3 +37,17 @@ def histo_data():
         repair=True,
         categories=("Minimal", "Slight", "Moderate", "Severe", "Massive"),
     )
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started

@@ -167,20 +167,6 @@ class TestBuildEnsemble:
             assert ens.z.dtype == z.dtype and ens.z.tobytes() == z.tobytes()
 
 
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """The threads started while the test runs, in order."""
-    started = []
-    start = threading.Thread.start
-
-    def counted(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
-
-
 class TestParallelBlocks:
     """The blocks run on one thread per usable core on either route; the bytes never depend on it.
 

@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of four small end-to-end outputs.
+"""Pinned sha256 digests of five small end-to-end outputs.
 
 Criterion 11 only compares two runs of the same tree, so a change of draw
 layout would otherwise pass unnoticed.  A change that alters draws on
@@ -36,6 +36,7 @@ DIGESTS = {
     "predict-all": "sha256:4d946f4d20257abb3aab560cc216a7f4c337e5faf27ed68aafc7e0efb48f7bc4",
     "simulate-cell": "sha256:1a17b5e15a5780b4f1ae4f9e50e8b02cab6f67a068b572952de09a3ab5e975ae",
     "predict-blocks": "sha256:d98ed06de8e7dfd0a3a52718808984ff659a85a26b63fcf3009e91f26e8cf792",
+    "predict-two-priors": "sha256:ffee4fc9c4a2561c172b5aecac6d4e4f856127d797057039933e25c7558ddcde",
 }
 
 
@@ -59,6 +60,14 @@ def test_predict_digest(severity_counts, tmp_path, name, methods):
     argv = ["predict", "--data", severity_counts, "--m", "46", "--methods", methods, *SMALL]
     assert main([*argv, "--out", str(out)]) == 0
     assert sha256_of(out) == DIGESTS[name]
+
+
+def test_two_priors_digest(severity_counts, tmp_path):
+    """Both priors' families, run in a worker process beside the ensemble where it may fork."""
+    out = tmp_path / "intervals.csv"
+    argv = ["predict", "--data", severity_counts, "--m", "46", "--methods", "all"]
+    assert main([*argv, "--prior", "cauchy,beta", *SMALL, "--out", str(out)]) == 0
+    assert sha256_of(out) == DIGESTS["predict-two-priors"]
 
 
 def test_simulate_digest(tmp_path):

@@ -1,9 +1,19 @@
+import os
+import pickle
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 import mnpred as mp
+import mnpred.bayes
 import mnpred.methods
-from mnpred.errors import ValidationError
+from mnpred.bayes import PriorChoice
+from mnpred.cli import main
+from mnpred.dm import InversionTable
+from mnpred.errors import ConvergenceWarning, InitializationError, ValidationError
 from mnpred.methods import (
     BAYES_CONSTRUCTIONS,
     FREQUENTIST_METHODS,
@@ -99,25 +109,68 @@ BAYES_BUILDERS = {
 SMALL = dict(B=200, mvn_draws=2000, chains=2, sampling_iters=500)
 
 
-def test_dispatch_goes_through_the_module_globals(monkeypatch, histo_data):
-    """perfbench times each builder by swapping its mnpred.methods global."""
+def appender(path):
+    """A callable that appends one line to path, from whichever process calls it."""
+
+    def append(line: str) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    return append
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def summary(value):
+    """A call argument small enough to send through a file: streams, priors and scalars as is."""
+    if isinstance(value, (mp.RngStream, PriorChoice, str, int, float)):
+        return value
+    return type(value).__name__
+
+
+def test_dispatch_goes_through_the_module_globals(monkeypatch, tmp_path, histo_data):
+    """perfbench times each builder by swapping its mnpred.methods global.
+
+    The priors' families run in a forked worker process, so each call is
+    appended to a file, which the worker's records survive.  Two workers
+    make the split the same on any host: the caller works the asymptotic
+    and bootstrap families, one child both priors in order.
+    """
     fit = mp.fit_model(histo_data)
     spec = mp.FutureSpec(m=46)
     requests = resolve_methods(["all"], ("cauchy", "beta"))
     expected = compute_intervals(histo_data, fit, spec, requests, mp.RngStream(21), **SMALL)
 
-    calls = {name: [] for name in (*RESOURCES, *FREQUENTIST_BUILDERS, *BAYES_BUILDERS)}
+    names = (*RESOURCES, *FREQUENTIST_BUILDERS, *BAYES_BUILDERS)
+    log = tmp_path / "calls"
+    record = appender(log)
 
     def recorder(name, fn):
         def call(*args, **kwargs):
-            calls[name].append((args, kwargs))
+            kept = ([summary(a) for a in args], {k: summary(v) for k, v in kwargs.items()})
+            record(pickle.dumps((name, os.getpid(), kept)).hex())
             return fn(*args, **kwargs)
 
         return call
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(mnpred.methods, name, recorder(name, getattr(mnpred.methods, name)))
+    monkeypatch.setattr("mnpred.pool._WORKERS", 2)
     got = compute_intervals(histo_data, fit, spec, requests, mp.RngStream(21), **SMALL)
+    assert_no_child_left()
+
+    calls = {name: [] for name in names}
+    pids = {name: set() for name in names}
+    for line in log.read_text().splitlines():
+        name, pid, kept = pickle.loads(bytes.fromhex(line))
+        calls[name].append(kept)
+        pids[name].add(pid)
+    assert {pid for name in FREQUENTIST_BUILDERS for pid in pids[name]} == {os.getpid()}
+    assert os.getpid() not in {pid for name in BAYES_BUILDERS for pid in pids[name]}
 
     for name in FREQUENTIST_BUILDERS:
         assert len(calls[name]) == 1, name
@@ -142,3 +195,147 @@ def test_dispatch_goes_through_the_module_globals(monkeypatch, histo_data):
     for mid, ivs in got.items():
         np.testing.assert_array_equal(ivs.lower, expected[mid].lower)
         np.testing.assert_array_equal(ivs.upper, expected[mid].upper)
+
+
+# The severity fixture of criterion 10 (K=10 clusters of 46, phi 3.19).
+GENERATE = [
+    "generate", "--K", "10", "--n", "46", "--phi", "3.19",
+    "--pi", "0.224,0.466,0.273,0.031,0.004", "--seed", "0",
+]
+PREDICT = [
+    "--m", "46", "--prior", "cauchy,beta",
+    "--B", "500", "--mvn-draws", "5000", "--chains", "2", "--sampling", "500", "--seed", "0",
+]
+
+
+@pytest.fixture(scope="module")
+def counts_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("families") / "counts.csv"
+    assert main([*GENERATE, "--out", str(path)]) == 0
+    return str(path)
+
+
+def predict_bytes(counts_csv, tmp_path, methods="all") -> bytes:
+    out = tmp_path / "intervals.csv"
+    argv = ["predict", "--data", counts_csv, "--methods", methods, *PREDICT]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork while the test runs, in order."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        started.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return started
+
+
+class TestFamilyTasks:
+    """Given two or more heavy families the priors run in forked workers; the bytes never move."""
+
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, tmp_path, counts_csv, forks):
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            got.append(predict_bytes(counts_csv, tmp_path))
+            assert_no_child_left()
+        assert got[0] == got[1] == got[2]
+        # Four tasks: none forked on one worker, one child on two, two on three.
+        assert len(forks) == 3
+
+    @pytest.mark.parametrize("case", ["other-thread", "not-linux", "no-fork"])
+    def test_no_fork_where_it_is_unsafe(self, monkeypatch, tmp_path, counts_csv, forks, case):
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+        want = predict_bytes(counts_csv, tmp_path)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 2)
+        got = []
+        if case == "other-thread":
+            runner = threading.Thread(
+                target=lambda: got.append(predict_bytes(counts_csv, tmp_path))
+            )
+            runner.start()
+            runner.join()
+        else:
+            if case == "not-linux":
+                monkeypatch.setattr(sys, "platform", "darwin")
+            elif case == "no-fork":
+                monkeypatch.delattr(os, "fork")
+            got.append(predict_bytes(counts_csv, tmp_path))
+        assert got == [want]
+        assert forks == []
+        assert_no_child_left()
+
+    def test_frequentist_only_never_forks(
+        self, monkeypatch, tmp_path, counts_csv, forks, thread_starts, histo_data
+    ):
+        """One heavy family stays one task on the caller, so the ensemble keeps its threads.
+
+        The gamma route is forced as in TestParallelBlocks, so B=500 takes
+        three blocks; with the priors added the ensemble runs inline instead.
+        """
+        C = histo_data.counts.shape[1]
+        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 2)
+        predict_bytes(counts_csv, tmp_path, ",".join(FREQUENTIST_METHODS))
+        assert forks == []
+        assert len(thread_starts) == 1  # the caller and one helper
+        predict_bytes(counts_csv, tmp_path)
+        assert len(forks) == 1
+        assert len(thread_starts) == 1
+        assert_no_child_left()
+
+    def test_same_warnings_for_any_worker_count(self, monkeypatch, histo_data, forks):
+        """A prior's ConvergenceWarning reaches the caller, in task order, from a worker too.
+
+        The off-centre proposal of test_poor_mixing_warns makes both priors warn.
+        """
+        laplace = mnpred.bayes._laplace
+
+        def off_centre(logp, theta):
+            mode, cov = laplace(logp, theta)
+            return mode + 2.0 * np.sqrt(np.diag(cov)), cov / 25.0
+
+        monkeypatch.setattr(mnpred.bayes, "_laplace", off_centre)
+        fit = mp.fit_model(histo_data)
+        requests = resolve_methods(["all"], ("cauchy", "beta"))
+        seen = []
+        for workers in (1, 2):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                compute_intervals(
+                    histo_data, fit, mp.FutureSpec(m=46), requests, mp.RngStream(42), **SMALL
+                )
+            seen.append([(w.category, str(w.message)) for w in caught])
+        assert seen[0] == seen[1]
+        assert ConvergenceWarning in {category for category, _ in seen[0]}
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_prior_error_reraises_with_its_class_and_message(self, monkeypatch, histo_data, forks):
+        sample = mnpred.methods.mcmc_sample
+
+        def failing(data, prior, *args, **kwargs):
+            if prior.kind == "beta":
+                raise InitializationError("no finite start for the beta prior")
+            return sample(data, prior, *args, **kwargs)
+
+        monkeypatch.setattr(mnpred.methods, "mcmc_sample", failing)
+        fit = mp.fit_model(histo_data)
+        requests = resolve_methods(["all"], ("cauchy", "beta"))
+        for workers in (1, 2):
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            with pytest.raises(InitializationError) as caught:
+                compute_intervals(
+                    histo_data, fit, mp.FutureSpec(m=46), requests, mp.RngStream(3), **SMALL
+                )
+            assert type(caught.value) is InitializationError
+            assert str(caught.value) == "no finite start for the beta prior"
+            assert_no_child_left()
+        assert len(forks) == 1  # the second run raised in the worker

@@ -120,6 +120,15 @@ class TestDispersion:
         for k in range(3):
             assert np.concatenate([b[k] for b in blocks]).tobytes() == whole[k].tobytes()
 
+    def test_given_sizes_give_the_same_bytes(self):
+        """The ensemble refit passes the cluster sizes it already holds."""
+        rng = np.random.default_rng(6)
+        counts = rng.integers(0, 40, size=(50, 9, 5)) + 1
+        pi = counts.sum(axis=1) / counts.sum(axis=(1, 2))[:, None]
+        summed = pearson_dispersion(counts, pi)
+        given = pearson_dispersion(counts, pi, counts.sum(axis=-1))
+        assert [x.tobytes() for x in given] == [x.tobytes() for x in summed]
+
     @given(count_matrices())
     def test_pooled_mle_sums_to_one(self, counts):
         fit = mp.fit_model(mp.HistoricalDataset(counts))
