@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dm import InversionTable, draw_dm_counts, repair_zero_columns, sample_dm_matrix
-from .empirical import max_abs_quantile, nearest_rank_quantile, rank_summary
+from .empirical import (
+    max_abs_quantile,
+    nearest_rank_in_place,
+    nearest_rank_tails,
+    rank_summary,
+    row_extreme,
+)
 from .errors import DegenerateRankWarning, ValidationError
 from .model import (
     FutureSpec,
@@ -104,6 +110,11 @@ def build_ensemble(
     one, but spreading them over the cores keeps a call's time steady
     where the cores run at different speeds; on one thread it follows
     whichever core it sits on.
+
+    z is held category-major (Fortran order), so each category's B
+    residuals are contiguous for the calibrations' partitions and sorts.
+    Only exact operations read it (comparisons, max, min, negation), so
+    the layout moves no value; ``z.tobytes()`` gives the rows in C order.
     """
     rng = require_stream(rng, "build_ensemble")
     B = int(B)
@@ -121,7 +132,7 @@ def build_ensemble(
     if sum(InversionTable.cells(n, C) for n in table_sizes) <= _BLOCK_CELLS:
         tables = {n: InversionTable(n, fit.pi_hat, fit.phi_hat) for n in distinct}
         future = tables[m] if shared else InversionTable(m, fit.pi_hat, phi_future)
-    z = np.empty((B, C))
+    z = np.empty((B, C), order="F")
     block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
 
     def fill(j: int) -> None:
@@ -134,7 +145,10 @@ def build_ensemble(
         counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=size, tables=tables)
         # The refit of fit_model, one replicate per row.  Each drawn cluster
         # holds its historical size, so the sizes are those plus the repair's
-        # units, and the repair's column totals are the refit's.
+        # units, and the repair's column totals are the refit's.  Inversion
+        # draws come category-major; pearson_dispersion's float sums run over
+        # C-order temporaries (numpy's choice when operand layouts differ), so
+        # the layout moves no value, which tests/test_full_precision.py pins.
         totals = counts.sum(axis=1)
         added = repair_zero_columns(counts, totals, gen)
         n_star = np.tile(sizes, (size, 1))
@@ -155,8 +169,10 @@ def build_ensemble(
 def asymmetric_multipliers(z: np.ndarray, alpha: float) -> tuple[float, float]:
     """Separate lower and upper multipliers, each calibrated to 1 - alpha/2."""
     target = 1.0 - alpha / 2.0
-    q_lo = nearest_rank_quantile((-z).max(axis=1), target)
-    q_hi = nearest_rank_quantile(z.max(axis=1), target)
+    lowest = row_extreme(z, np.minimum)
+    # max_c(-z) is exactly -min_c(z), so no negated table is made.
+    q_lo = nearest_rank_in_place(np.negative(lowest, out=lowest), target)
+    q_hi = nearest_rank_in_place(row_extreme(z), target)
     return q_lo, q_hi
 
 
@@ -168,8 +184,7 @@ def marginal_multipliers(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nd
     point prediction.
     """
     target = 1.0 - alpha / (2.0 * z.shape[1])
-    q_lo = nearest_rank_quantile(-z, target)
-    q_hi = nearest_rank_quantile(z, target)
+    q_lo, q_hi = nearest_rank_tails(z, target)
     return np.maximum(q_lo, 0.0), np.maximum(q_hi, 0.0)
 
 

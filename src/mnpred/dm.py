@@ -147,9 +147,13 @@ class InversionTable:
         return (n_categories - 1) * (n + 1) ** 2
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """int64 clusters (N, C) for uniforms u in [0, 1) of shape (n_uniforms, N)."""
+        """int64 clusters (N, C) for uniforms u in [0, 1) of shape (n_uniforms, N).
+
+        The clusters are held category-major (Fortran order), so each
+        category's counts are written, and later summed, contiguously.
+        """
         w, G = self.n + 1, self.guide_size
-        out = np.zeros((u.shape[1], self.n_categories), dtype=np.int64)
+        out = np.zeros((self.n_categories, u.shape[1]), dtype=np.int64).T
         left = np.full(u.shape[1], self.n, dtype=np.intp)
         for c, uc in enumerate(u):
             cdf, guide = self.cdf[c].reshape(-1), self.guide[c].reshape(-1)
@@ -237,7 +241,8 @@ def sample_dm_matrix(
     unequal sizes make one draw per distinct size, each copied into the
     stacked result.  ``tables`` maps each distinct size to an
     ``InversionTable`` built at this pi and phi, and makes every draw
-    one by inversion (see ``draw_dm_counts``).
+    one by inversion (see ``draw_dm_counts``); an equal-size draw is then
+    category-major, like the table's.
     """
     sizes = _whole_numbers(cluster_sizes, "each cluster size")
     if sizes.ndim != 1 or sizes.shape[0] < 1:

@@ -369,6 +369,48 @@ class TestEnsembleMemory:
         assert len(thread_starts) == 2
         assert peaks[1] - peaks[0] < 2 * 5 * 131 * K * C * 8
 
+
+class TestCategoryMajor:
+    """z is held category-major and the calibrations read it without B x C temporaries.
+
+    Each column's partition then reads contiguous memory, and the row
+    extremes fold the columns; a negated, absolute or transposed copy of z
+    would each be a B x C float table.
+    """
+
+    @pytest.mark.parametrize("block_cells", [None, 1 << 10])
+    def test_ensemble_is_fortran_contiguous(
+        self, monkeypatch, histo_data, histo_fit, block_cells
+    ):
+        if block_cells is not None:
+            monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", block_cells)
+        z = build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(3)).z
+        assert z.flags.f_contiguous and z.shape == (1234, 5)
+
+    @pytest.mark.parametrize(
+        "calibrate",
+        [mp.symmetric_calibration, mp.asymmetric_calibration, mp.marginal_calibration],
+    )
+    def test_calibration_allocates_no_table(self, monkeypatch, calibrate):
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+        K, n, C, B = 10, 50, 10, 10_000
+        pi = np.linspace(1.0, 2.0, C)
+        root = mp.RngStream(35)
+        data = mp.generate_dataset(K, n, pi / pi.sum(), 5.0, root.child(0), repair=True)
+        fit = mp.fit_model(data)
+        spec = mp.FutureSpec(m=n)
+        ensemble = build_ensemble(fit, data, spec, B, root.child(1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            calibrate(ensemble, fit, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few B-vectors (a row extreme, its scratch column, a partition copy).
+        assert peak < B * C * 8 / 2
+
+
 def test_ensemble_draw_goes_through_the_module_global(monkeypatch, histo_data, histo_fit):
     """perfbench times the ensemble draw by wrapping bootstrap.sample_dm_matrix."""
     calls = []

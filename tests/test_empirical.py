@@ -3,11 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mnpred as mp
-from mnpred.empirical import nearest_rank_in_place, nearest_rank_quantile, rank_summary
+from mnpred.empirical import (
+    nearest_rank_in_place,
+    nearest_rank_quantile,
+    nearest_rank_tails,
+    rank_summary,
+    row_extreme,
+)
 from mnpred.errors import DegenerateRankWarning, ValidationError
 
 
@@ -152,6 +158,114 @@ class TestRankSummary:
         z = np.random.default_rng(seed).normal(size=(B, 2))
         taus = [rank_summary(z, a).tau_star for a in (0.01, 0.05, 0.2, 0.5)]
         assert all(t1 >= t2 for t1, t2 in zip(taus, taus[1:]))
+
+
+def reference_summary(values, alpha):
+    """rank_summary's fields written out from one stable argsort along axis 0."""
+    B, C = values.shape
+    order = np.argsort(values, axis=0, kind="stable")
+    cols = np.arange(C)
+    ranks = np.empty((B, C), dtype=np.int64)
+    ranks[order, cols[None, :]] = np.arange(1, B + 1)[:, None]
+    scores = np.maximum(ranks.max(axis=1), B + 1 - ranks.min(axis=1))
+    k = min(max(int(np.floor((1.0 - alpha) * B + 0.5)), 1), B)
+    tau = int(np.sort(scores)[k - 1])
+    return order, ranks, scores, tau, values[order[B - tau], cols], values[order[tau - 1], cols]
+
+
+# The ensembles rank_summary and the row kernel see, and the shapes that
+# break a sort: tie-heavy floats, predictive counts 0..m, counts past the
+# int16 range, constant columns, columns mixing -0.0 and 0.0, and NaNs.
+_KINDS = ("rounded-normal", "counts", "wide-integers", "constant", "signed-zeros", "nan")
+
+
+def _ensemble(kind, B, C, seed, layout):
+    rng = np.random.default_rng(seed)
+    if kind == "rounded-normal":
+        values = np.round(rng.normal(size=(B, C)), 1) + 0.0  # no -0.0
+    elif kind == "counts":
+        values = rng.multinomial(int(rng.integers(1, 60)), np.full(C, 1.0 / C), size=B)
+    elif kind == "wide-integers":
+        values = rng.integers(-3, 4, size=(B, C)) * 40_000
+    elif kind == "constant":
+        values = np.broadcast_to(rng.normal(size=C), (B, C)).copy()
+    elif kind == "signed-zeros":
+        values = rng.choice([-0.0, 0.0, 1.5, -1.5], size=(B, C))
+    else:
+        values = np.round(rng.normal(size=(B, C))) + 0.0
+        values[rng.random((B, C)) < 0.3] = np.nan
+    return np.asfortranarray(values) if layout == "F" else np.ascontiguousarray(values)
+
+
+class TestStableRanks:
+    """rank_summary orders each column exactly as np.argsort(..., kind="stable") does.
+
+    NaN rule: NaNs are ordered as the stable sort orders them, after every
+    number and among themselves by row.
+    """
+
+    @pytest.mark.filterwarnings("ignore::mnpred.errors.DegenerateRankWarning")
+    @given(
+        st.sampled_from(_KINDS),
+        st.integers(2, 400),
+        st.integers(1, 6),
+        st.floats(0.01, 0.5),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from("CF"),
+    )
+    @example("rounded-normal", 2, 1, 0.05, 0, "C")
+    @example("counts", 2, 3, 0.05, 1, "F")
+    @example("signed-zeros", 200, 1, 0.05, 2, "C")
+    @example("nan", 2, 1, 0.3, 3, "F")
+    def test_matches_a_stable_argsort(self, kind, B, C, alpha, seed, layout):
+        values = _ensemble(kind, B, C, seed, layout)
+        order, ranks, scores, tau, lower, upper = reference_summary(values, alpha)
+        got = rank_summary(values, alpha)
+        # Each column's ranks are a permutation of 1..B, so any argsort inverts them.
+        assert np.argsort(got.ranks, axis=0).tobytes() == order.tobytes()
+        assert got.ranks.dtype == ranks.dtype and got.ranks.tobytes() == ranks.tobytes()
+        assert got.scores.dtype == scores.dtype and got.scores.tobytes() == scores.tobytes()
+        assert got.tau_star == tau and got.alpha == alpha
+        assert got.lower.dtype == lower.dtype and got.lower.tobytes() == lower.tobytes()
+        assert got.upper.dtype == upper.dtype and got.upper.tobytes() == upper.tobytes()
+
+    def test_nans_rank_last_in_row_order(self):
+        z = np.array([[np.nan], [1.0], [np.nan], [0.0], [1.0]])
+        summary = rank_summary(z, alpha=0.5)
+        np.testing.assert_array_equal(summary.ranks[:, 0], [4, 2, 5, 1, 3])
+
+
+class TestRowExtreme:
+    @given(
+        st.sampled_from(_KINDS), st.integers(1, 200), st.integers(1, 6), st.integers(0, 2**31 - 1)
+    )
+    def test_matches_the_row_reduction(self, kind, B, C, seed):
+        for layout in "CF":
+            values = _ensemble(kind, B, C, seed, layout)
+            np.testing.assert_array_equal(row_extreme(values), values.max(axis=1))
+            np.testing.assert_array_equal(row_extreme(values, np.minimum), values.min(axis=1))
+            np.testing.assert_array_equal(
+                row_extreme(values, absolute=True), np.abs(values).max(axis=1)
+            )
+
+    def test_leaves_its_input_alone(self):
+        values = np.asfortranarray([[-3.0, 1.0], [2.0, -0.5]])
+        before = values.tobytes()
+        row_extreme(values, absolute=True)
+        row_extreme(values, np.minimum)
+        assert values.tobytes() == before
+
+
+@pytest.mark.parametrize("layout", "CF")
+def test_tails_match_the_negated_quantile(layout):
+    """Byte for byte on samples without -0.0, which z never holds (a zero residual is +0.0)."""
+    rng = np.random.default_rng(9)
+    for B, C in ((2, 1), (37, 3), (2000, 5), (1999, 10)):
+        values = _ensemble("rounded-normal", B, C, int(rng.integers(1 << 30)), layout)
+        for p in (0.001, 0.5, 0.975, 0.995, 1.0):
+            lo, hi = nearest_rank_tails(values, p)
+            assert lo.tobytes() == nearest_rank_quantile(-values, p).tobytes()
+            assert hi.tobytes() == nearest_rank_quantile(values, p).tobytes()
 
 
 _ORDER_CALLS = {"sort", "argsort", "partition", "argpartition"}
