@@ -39,7 +39,7 @@ from .model import (
     prediction_se,
     scaled_interval_set,
 )
-from .pool import run_each
+from .pool import run_in_order
 from .rng import RngStream, require_stream
 
 __all__ = [
@@ -94,22 +94,17 @@ def build_ensemble(
     The replicates are drawn, repaired, refitted and studentised one
     block at a time, block j from ``rng.child(j)``, so no B x K x C
     table is ever held; a block's refit and futures are dropped once
-    its rows of z are written.  The blocks run on the package's thread
-    pool (inline when the caller is already a pool task, as in a simulate
-    worker or a predict call whose priors run beside it) and each writes
-    only its own rows, so the bytes are the same for any number of threads.
+    its rows of z are computed.  The blocks run on the package's worker
+    processes (``pool.run_in_order``; inline when the caller is already a
+    worker, as in a simulate worker or a predict call whose priors run
+    beside it), and their rows are copied into z in block order, so the
+    bytes are the same for any number of workers.
 
     Clusters are drawn exactly by inversion (``dm.InversionTable``) from
     one table per distinct historical size and one for m, built here
     once and only read by the blocks, while those tables hold at most
     _BLOCK_CELLS conditional-CDF cells, (C - 1)(n + 1)^2 per size;
-    larger ones draw Dirichlet gammas and multinomials instead.  Numpy's
-    gamma and multinomial loops release the interpreter lock, so those
-    blocks gain from a second thread.  The table draw and the refit hold
-    it, so inversion blocks run a little slower on two threads than on
-    one, but spreading them over the cores keeps a call's time steady
-    where the cores run at different speeds; on one thread it follows
-    whichever core it sits on.
+    larger ones draw Dirichlet gammas and multinomials instead.
 
     z is held category-major (Fortran order), so each category's B
     residuals are contiguous for the calibrations' partitions and sorts.
@@ -135,13 +130,12 @@ def build_ensemble(
     z = np.empty((B, C), order="F")
     block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
 
-    def fill(j: int) -> None:
+    def fill(j: int) -> np.ndarray:
         gen = rng.child(j).generator()
-        rows = slice(j * block, min((j + 1) * block, B))
-        size = rows.stop - rows.start
+        size = min(block, B - j * block)
         # Looked up in this module's globals at call time, so a wrapper set as
         # bootstrap.sample_dm_matrix (perfbench's dm.sample_dm_matrix span)
-        # sees every block's draw.
+        # sees the draw of every block that runs in its process.
         counts = sample_dm_matrix(sizes, fit.pi_hat, fit.phi_hat, gen, size=size, tables=tables)
         # The refit of fit_model, one replicate per row.  Each drawn cluster
         # holds its historical size, so the sizes are those plus the repair's
@@ -160,9 +154,15 @@ def build_ensemble(
         del counts  # freed before the future clusters are drawn
         sep = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
         y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size, table=future)
-        np.divide(y - m * pi_star, sep, out=z[rows])
+        return (y - m * pi_star) / sep
 
-    run_each(fill, -(-B // block))
+    starts = iter(range(0, B, block))
+
+    def merge(rows: np.ndarray) -> None:
+        start = next(starts)
+        z[start : start + block] = rows
+
+    run_in_order(fill, -(-B // block), merge)
     return BootstrapEnsemble(z=z)
 
 

@@ -104,7 +104,7 @@ class InversionTable:
 
     ``cdf[c, r, k]`` is F(k | r) of the c-th positive category (1.0 from
     k = r on) and ``guide[c, r, i]`` bucket i's first k.  The table is
-    only read after it is built, so threads may share it.
+    only read after it is built, so every block of an ensemble shares it.
     """
 
     def __init__(self, n, pi, phi: float) -> None:

@@ -14,9 +14,9 @@ on the package's worker processes (``pool.run_in_order``): the caller
 works the asymptotic and bootstrap tasks, the ensemble's blocks inline
 on its one thread, while forked children work the priors.  A request
 with fewer, or a call nested in a simulation's worker, runs as one task
-on the caller, where the ensemble's blocks keep their threads.  Each
-family draws only from its own substreams, so the bytes are the same
-either way.
+on the caller, and a top-level one spreads its ensemble's blocks over
+the worker processes instead.  Each family draws only from its own
+substreams, so the bytes are the same either way.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""The package's workers, one per usable core: processes for a simulation's
-iterations and a predict call's method families, threads for an
-ensemble's blocks.
+"""The package's workers: one process per usable core, for a simulation's
+iterations, a predict call's method families and an ensemble's blocks.
 
 Work is split into numbered tasks (a simulation's iterations, the method
 families of ``methods.compute_intervals``, an ensemble's blocks), each
@@ -16,12 +15,10 @@ every result in task order.  It forks only on Linux (other platforms'
 system libraries are not fork-safe), only where ``os.fork`` exists and
 only while no other thread is alive (one could hold a lock that the
 child would inherit locked); otherwise, or with one worker, the same
-loop runs in order on the caller.
-
-``run_each`` runs tasks on threads, for the ensemble blocks, whose
-gamma draws release the lock.  While a process works a range of
-``run_in_order`` tasks, or a thread works ``run_each`` tasks, a nested
-call runs its tasks inline, so no more than ``_WORKERS`` workers ever run.
+loop runs in order on the caller.  While a process works a range of
+tasks, a nested call (an ensemble's blocks inside a simulation's
+iteration, say) runs its tasks inline, so no more than ``_WORKERS``
+workers ever run.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import sys
 import threading
 import warnings
 
-__all__ = ["run_each", "run_in_order"]
+__all__ = ["run_in_order"]
 
 # Workers, the caller included: one per usable core.
 try:
@@ -40,54 +37,8 @@ try:
 except AttributeError:
     _WORKERS = os.cpu_count() or 1
 
-# Set on a thread while it works tasks for a call that runs on several workers.
+# Set while the caller, and each child it forks, works a range of tasks.
 _on_pool = threading.local()
-
-
-def run_each(task, n_tasks: int) -> None:
-    """Call task(j) for every j < n_tasks on up to _WORKERS threads, the caller's included.
-
-    The threads pull task indices from one shared counter and are joined
-    before return; the first exception any task raised is re-raised
-    here, and the other threads stop after their current task.  With
-    one task, one worker, or a caller that is itself working tasks for
-    either function, no thread starts and the tasks run in order on the
-    caller.
-    """
-    workers = min(_WORKERS, n_tasks)
-    if workers <= 1 or getattr(_on_pool, "busy", False):
-        for j in range(n_tasks):
-            task(j)
-        return
-    tasks = iter(range(n_tasks))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        _on_pool.busy = True
-        try:
-            while not errors:
-                with lock:
-                    j = next(tasks, None)
-                if j is None:
-                    return
-                try:
-                    task(j)
-                except BaseException as exc:
-                    errors.append(exc)
-        finally:
-            _on_pool.busy = False
-
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def run_in_order(task, n_tasks: int, merge) -> None:
@@ -115,7 +66,7 @@ def run_in_order(task, n_tasks: int, merge) -> None:
     bounds = [j * size + min(j, extra) for j in range(workers + 1)]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), until reaped
     # Set before the forks, so every process, each child included, works its
-    # range on one thread, its nested run_each calls inline.
+    # range on one thread, its nested run_in_order calls inline.
     _on_pool.busy = True
     try:
         # Task 0 runs before any fork, so a call that fails at once forks nothing.

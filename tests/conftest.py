@@ -1,4 +1,4 @@
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -40,14 +40,30 @@ def histo_data():
 
 
 @pytest.fixture
-def thread_starts(monkeypatch):
-    """The threads started while the test runs, in order."""
+def forks(monkeypatch):
+    """The pids that called os.fork while the test runs, in order."""
     started = []
-    start = threading.Thread.start
+    fork = os.fork
 
-    def counted(self):
-        started.append(self)
-        start(self)
+    def counted():
+        started.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(os, "fork", counted)
     return started
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def appender(path):
+    """A callable that appends one line to path, from whichever process calls it."""
+
+    def append(line: str) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    return append

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -22,6 +23,8 @@ from mnpred.dm import (
 from mnpred.empirical import max_abs_quantile, nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
 from mnpred.model import clamp_dispersion, pearson_dispersion
+
+from conftest import appender, assert_no_child_left
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +171,7 @@ class TestBuildEnsemble:
 
 
 class TestParallelBlocks:
-    """The blocks run on one thread per usable core on either route; the bytes never depend on it.
+    """The blocks run on one worker process per usable core on either route; the bytes never depend on it.
 
     Most tests force the gamma route: the severity table's inversion
     tables hold 4 x 47^2 = 8836 cells, so a cap one cell lower sends it
@@ -182,74 +185,110 @@ class TestParallelBlocks:
         monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
         return min(500, (InversionTable.cells(46, C) - 1) // (K * C))
 
+    @staticmethod
+    def z_bytes(monkeypatch, histo_data, histo_fit, B, worker_counts=(1, 2, 3)):
+        """build_ensemble's z bytes at each worker count, with no child left after any."""
+        got = []
+        for workers in worker_counts:
+            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
+            z = build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), B, mp.RngStream(38)).z
+            assert z.dtype == np.float64 and z.flags.f_contiguous
+            got.append(z.tobytes())
+            assert_no_child_left()
+        return got
+
     @pytest.mark.parametrize("B", [30, 1234])
     def test_same_bytes_for_any_worker_count(
-        self, monkeypatch, histo_data, histo_fit, block, thread_starts, B
+        self, monkeypatch, histo_data, histo_fit, block, forks, B
     ):
-        spec = mp.FutureSpec(m=46)
-        runs = []
-        for workers in (1, 3):
-            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
-            runs.append(build_ensemble(histo_fit, histo_data, spec, B, mp.RngStream(38)))
-        a, b = (ens.z for ens in runs)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # One block runs on the caller; more start the two helper threads.
-        assert len(thread_starts) == (2 if B > block else 0)
+        got = self.z_bytes(monkeypatch, histo_data, histo_fit, B)
+        assert got[0] == got[1] == got[2]
+        # One block runs on the caller; more fork one child on two workers, two on three.
+        assert len(forks) == (3 if B > block else 0)
 
-    def test_every_block_runs_once_under_contention(
-        self, monkeypatch, histo_data, histo_fit, block, thread_starts
+    def test_inversion_blocks_run_on_worker_processes(
+        self, monkeypatch, histo_data, histo_fit, forks
     ):
-        """More workers than cores and a short switch interval: no block is lost or repeated."""
+        """On the table route the blocks of 500 replicates run on worker processes too, with the same bytes."""
+        got = self.z_bytes(monkeypatch, histo_data, histo_fit, 1234)
+        assert got[0] == got[1] == got[2]
+        assert len(forks) == 3
+
+    def test_every_block_runs_once_on_many_workers(
+        self, monkeypatch, tmp_path, histo_data, histo_fit, block, forks
+    ):
+        """More workers than cores: each block is drawn once, by one of eight processes.
+
+        The draws are logged with the drawing pid to a file that worker
+        processes would append to.
+        """
         spec = mp.FutureSpec(m=46)
         monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         want = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
-        sizes = []
+        log = tmp_path / "draws"
+        record = appender(log)
 
         def counted(*args, **kwargs):
-            sizes.append(kwargs["size"])
+            record(f"{os.getpid()} {kwargs['size']}")
             return sample_dm_matrix(*args, **kwargs)
 
         monkeypatch.setattr("mnpred.pool._WORKERS", 8)
         monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", counted)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(sizes) == [5234 % block] + [block] * (5234 // block)
+        got = build_ensemble(histo_fit, histo_data, spec, 5234, mp.RngStream(40))
+        draws = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(size) for _, size in draws) == [5234 % block] + [block] * (5234 // block)
+        assert len({pid for pid, _ in draws}) == 8
         assert got.z.tobytes() == want.z.tobytes()
-        assert len(thread_starts) == 7
+        assert len(forks) == 7
+        assert_no_child_left()
 
-    def test_block_error_reaches_the_caller(
-        self, monkeypatch, histo_data, histo_fit, block, thread_starts
+    def test_block_error_reraises_with_its_class_and_message(
+        self, monkeypatch, histo_data, histo_fit, block, forks
     ):
-        """A block's exception is re-raised after every helper thread has been joined."""
+        """The short last block raises in the last worker process; the caller re-raises it."""
+        caller = os.getpid()
 
         def failing(*args, **kwargs):
             if kwargs["size"] == 1234 % block:
+                assert os.getpid() != caller
                 raise RuntimeError("block failed")
             return sample_dm_matrix(*args, **kwargs)
 
         monkeypatch.setattr("mnpred.pool._WORKERS", 3)
         monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block failed"):
+        with pytest.raises(RuntimeError) as caught:
             build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(39))
-        assert len(thread_starts) == 2
-        assert threading.active_count() == before
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == "block failed"
+        if sys.version_info >= (3, 11):  # the child's traceback travels as a note
+            assert "in failing" in caught.value.__notes__[0]
+        assert len(forks) == 2
+        assert_no_child_left()
 
-    def test_inversion_blocks_run_on_threads(
-        self, monkeypatch, histo_data, histo_fit, thread_starts
+    @pytest.mark.parametrize("case", ["other-thread", "not-linux", "no-fork"])
+    def test_no_fork_where_it_is_unsafe(
+        self, monkeypatch, histo_data, histo_fit, block, forks, case
     ):
-        """On the table route the blocks of 500 replicates run on threads too, with the same bytes."""
-        spec = mp.FutureSpec(m=46)
-        runs = []
-        for workers in (1, 3):
-            monkeypatch.setattr("mnpred.pool._WORKERS", workers)
-            runs.append(build_ensemble(histo_fit, histo_data, spec, 1234, mp.RngStream(38)))
-        assert runs[0].z.tobytes() == runs[1].z.tobytes()
-        assert len(thread_starts) == 2
+        """The blocks run in order on the caller, with the one-worker bytes, wherever a fork is unsafe."""
+        (want,) = self.z_bytes(monkeypatch, histo_data, histo_fit, 1234, worker_counts=(1,))
+        got = []
+        if case == "other-thread":
+            runner = threading.Thread(
+                target=lambda: got.extend(
+                    self.z_bytes(monkeypatch, histo_data, histo_fit, 1234, worker_counts=(2,))
+                )
+            )
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+        else:
+            if case == "not-linux":
+                monkeypatch.setattr(sys, "platform", "darwin")
+            elif case == "no-fork":
+                monkeypatch.delattr(os, "fork")
+            got += self.z_bytes(monkeypatch, histo_data, histo_fit, 1234, worker_counts=(2,))
+        assert got == [want]
+        assert forks == []
 
 
 class TestEnsembleMemory:
@@ -300,9 +339,9 @@ class TestEnsembleMemory:
 
         The (B, C) residuals and one block's refit and futures stay well
         under 8 x B*C*8 bytes; a whole table would add
-        K = 50 times more.  One worker, because with several the number of
-        block working sets live at the peak depends on how the threads
-        interleave (test_each_worker_adds_at_most_one_block bounds that).
+        K = 50 times more.  One worker, because with several the caller
+        also receives the child's rows of z
+        (test_a_worker_process_adds_only_the_rows_it_sends bounds that).
         """
         monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         K, C = 50, 10
@@ -343,13 +382,13 @@ class TestEnsembleMemory:
             tracemalloc.stop()
         assert peak < 4 * B * C * 8
 
-    def test_each_worker_adds_at_most_one_block(self, monkeypatch, thread_starts):
-        """Each extra thread holds one block's working set, not a share of B.
+    def test_a_worker_process_adds_only_the_rows_it_sends(self, monkeypatch, forks):
+        """With two workers the caller's traced peak rises by less than the rows of z it receives.
 
-        A block of 131 replicates (65536 // 500 cells) holds its counts and
-        the Pearson temporaries, about four (131, K, C) tables; three
-        workers may add two of those to the one-worker peak, never a
-        (B, K, C) table.
+        The child's blocks, 8 of 131 replicates (65536 // 500 cells) each,
+        hold their counts and Pearson temporaries in the child; the caller
+        holds z, its own block's working set and then the child's 952
+        received rows, so it never holds a share of the child's work.
         """
         K, C, B = 50, 10, 2000
         pi = np.linspace(1.0, 2.0, C)
@@ -359,15 +398,15 @@ class TestEnsembleMemory:
         peaks = []
         tracemalloc.start()
         try:
-            for workers in (1, 3):
+            for workers in (1, 2):
                 monkeypatch.setattr("mnpred.pool._WORKERS", workers)
                 tracemalloc.reset_peak()
                 build_ensemble(fit, data, mp.FutureSpec(m=50), B, root.child(1))
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(thread_starts) == 2
-        assert peaks[1] - peaks[0] < 2 * 5 * 131 * K * C * 8
+        assert len(forks) == 1
+        assert peaks[1] < peaks[0] + (B - 8 * 131) * C * 8
 
 
 class TestCategoryMajor:
@@ -412,13 +451,18 @@ class TestCategoryMajor:
 
 
 def test_ensemble_draw_goes_through_the_module_global(monkeypatch, histo_data, histo_fit):
-    """perfbench times the ensemble draw by wrapping bootstrap.sample_dm_matrix."""
+    """perfbench times the ensemble draw by wrapping bootstrap.sample_dm_matrix.
+
+    One worker, since a worker process's calls to the wrapper never reach
+    this list.
+    """
     calls = []
 
     def wrapped(*args, **kwargs):
         calls.append(kwargs.get("size"))
         return sample_dm_matrix(*args, **kwargs)
 
+    monkeypatch.setattr("mnpred.pool._WORKERS", 1)
     monkeypatch.setattr("mnpred.bootstrap.sample_dm_matrix", wrapped)
     build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 30, mp.RngStream(36))
     assert calls == [30]

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,25 @@ class TestNearestRank:
                 got = nearest_rank_quantile(values, p)
                 want = np.array([nearest_rank_quantile(values[:, c], p) for c in range(C)])
                 assert got.tobytes() == want.tobytes()
+
+    def test_integer_sample_gives_its_float_copys_values_without_the_copy(self):
+        """Predictive counts are partitioned as integers: the same float bytes, no S x C float table."""
+        rng = np.random.default_rng(9)
+        S, C = 10_000, 5
+        counts = rng.multinomial(46, [0.224, 0.466, 0.273, 0.031, 0.006], size=S)
+        for p in (0.005, 0.5, 0.995):
+            got = nearest_rank_quantile(counts, p)
+            assert got.dtype == np.float64
+            assert got.tobytes() == nearest_rank_quantile(counts.astype(float), p).tobytes()
+            assert nearest_rank_quantile(counts[:, 0], p) == got[0]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            nearest_rank_quantile(counts, 0.995)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S * C * 8 / 2  # one column's partition copy at a time
 
 
 class TestRankSummary:

@@ -825,18 +825,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def program_nodes():
+    """(file, node) for every syntax node of the package's modules."""
+    for path in sorted(Path(mp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def program_imports():
     """(file:line, module) of every absolute import in the package's modules."""
     found = []
-    for path in sorted(Path(mp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [(f"{path.name}:{node.lineno}", n) for n in names]
+    for name, node in program_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(f"{name}:{node.lineno}", n) for n in names]
     return found
 
 
@@ -846,11 +852,21 @@ def test_no_module_imports_scipy():
 
 
 def test_no_module_imports_a_worker_pool():
-    """The ensemble's blocks run on plain threads: importing concurrent.futures
-    alone costs about 0.4 MB of resident memory, and multiprocessing would copy
-    the whole interpreter per worker."""
+    """The package's one worker mechanism is pool.run_in_order's os.fork:
+    importing concurrent.futures alone costs about 0.4 MB of resident
+    memory, multiprocessing would copy the whole interpreter per worker,
+    and a thread of the package's own would stop every later fork (a
+    thread alive at the fork could hold a lock the child inherits locked)."""
     barred = ("concurrent", "multiprocessing")
     assert [at for at, name in program_imports() if name.split(".")[0] in barred] == []
+    threads = [
+        f"{name}:{node.lineno}"
+        for name, node in program_nodes()
+        if (isinstance(node, ast.Attribute) and node.attr == "Thread")
+        or (isinstance(node, ast.Name) and node.id == "Thread")
+        or (isinstance(node, ast.alias) and node.name == "Thread")
+    ]
+    assert threads == []
 
 
 def exported(module) -> set[str]:

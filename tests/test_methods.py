@@ -9,6 +9,7 @@ import pytest
 
 import mnpred as mp
 import mnpred.bayes
+import mnpred.bootstrap
 import mnpred.methods
 from mnpred.bayes import PriorChoice
 from mnpred.cli import main
@@ -21,6 +22,8 @@ from mnpred.methods import (
     compute_intervals,
     resolve_methods,
 )
+
+from conftest import appender, assert_no_child_left
 
 BAYES_IDS = tuple(f"{mid}-{p}" for mid in BAYES_CONSTRUCTIONS for p in ("cauchy", "beta"))
 
@@ -107,22 +110,6 @@ BAYES_BUILDERS = {
     "bayes_rank_scs_interval": "bayes-scs",
 }
 SMALL = dict(B=200, mvn_draws=2000, chains=2, sampling_iters=500)
-
-
-def appender(path):
-    """A callable that appends one line to path, from whichever process calls it."""
-
-    def append(line: str) -> None:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
-    return append
-
-
-def assert_no_child_left():
-    """This process has no child process, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def summary(value):
@@ -222,20 +209,6 @@ def predict_bytes(counts_csv, tmp_path, methods="all") -> bytes:
     return out.read_bytes()
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids that called os.fork while the test runs, in order."""
-    started = []
-    fork = os.fork
-
-    def counted():
-        started.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return started
-
-
 class TestFamilyTasks:
     """Given two or more heavy families the priors run in forked workers; the bytes never move."""
 
@@ -271,24 +244,38 @@ class TestFamilyTasks:
         assert forks == []
         assert_no_child_left()
 
-    def test_frequentist_only_never_forks(
-        self, monkeypatch, tmp_path, counts_csv, forks, thread_starts, histo_data
+    def test_frequentist_only_forks_for_its_ensemble(
+        self, monkeypatch, tmp_path, counts_csv, forks, histo_data
     ):
-        """One heavy family stays one task on the caller, so the ensemble keeps its threads.
+        """One heavy family stays one task on the caller, so the ensemble's blocks fork instead.
 
         The gamma route is forced as in TestParallelBlocks, so B=500 takes
-        three blocks; with the priors added the ensemble runs inline instead.
+        three blocks, whose draws are logged with the drawing pid to a file
+        that worker processes would append to.  With the priors added the
+        ensemble runs inline, and the one fork is the priors' worker.
         """
         C = histo_data.counts.shape[1]
         monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
         monkeypatch.setattr("mnpred.pool._WORKERS", 2)
-        predict_bytes(counts_csv, tmp_path, ",".join(FREQUENTIST_METHODS))
-        assert forks == []
-        assert len(thread_starts) == 1  # the caller and one helper
-        predict_bytes(counts_csv, tmp_path)
-        assert len(forks) == 1
-        assert len(thread_starts) == 1
-        assert_no_child_left()
+        log = tmp_path / "draws"
+        record = appender(log)
+        sample = mnpred.bootstrap.sample_dm_matrix
+
+        def counted(*args, **kwargs):
+            record(str(os.getpid()))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(mnpred.bootstrap, "sample_dm_matrix", counted)
+        for methods in (",".join(FREQUENTIST_METHODS), "all"):
+            log.write_text("")
+            forks.clear()
+            predict_bytes(counts_csv, tmp_path, methods)
+            assert len(forks) == 1
+            assert_no_child_left()
+            drawn_by = log.read_text().split()
+            assert len(drawn_by) == 3
+            assert len(set(drawn_by)) == (2 if methods != "all" else 1)
+        assert set(drawn_by) == {str(os.getpid())}
 
     def test_same_warnings_for_any_worker_count(self, monkeypatch, histo_data, forks):
         """A prior's ConvergenceWarning reaches the caller, in task order, from a worker too.

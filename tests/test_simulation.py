@@ -26,6 +26,8 @@ from mnpred.io import SIMULATION_COLUMNS, RunConfig, rows_to_csv, simulation_row
 from mnpred.methods import FREQUENTIST_METHODS
 from mnpred.simulation import Scenario, run_simulation, tail_balance
 
+from conftest import appender, assert_no_child_left
+
 
 def cheap_scenario(**kw):
     base = dict(
@@ -158,22 +160,6 @@ def failing_scenario():
         pi_true=(0.02, 0.98), K=2, n=5, phi=1.5,
         n_iter=10, methods=("pointwise",), B=50, repair=False, seed=0,
     )
-
-
-def assert_no_child_left():
-    """This process has no child process, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def appender(path):
-    """A callable that appends one line to path, from whichever process calls it."""
-
-    def append(line: str) -> None:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
-    return append
 
 
 class TestParallelIterations:
@@ -346,20 +332,12 @@ class TestWorkerProcesses:
         assert_no_child_left()
 
     @pytest.mark.parametrize("case", ["other-thread", "not-linux", "no-fork"])
-    def test_no_fork_where_it_is_unsafe(self, monkeypatch, case):
+    def test_no_fork_where_it_is_unsafe(self, monkeypatch, forks, case):
         """The iterations run in process, with the same bytes, wherever a fork is unsafe."""
         s = cheap_scenario(n_iter=9)
         report_bytes = TestParallelIterations.report_bytes
         monkeypatch.setattr("mnpred.pool._WORKERS", 1)
         want = report_bytes(run_simulation(s))
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
         monkeypatch.setattr("mnpred.pool._WORKERS", 2)
         assert report_bytes(run_simulation(s)) == want
         assert len(forks) == 1  # the wrapper sees a safe fork
