@@ -8,11 +8,9 @@ constructions, together with a Monte-Carlo harness for coverage studies.
 
 from .asymptotic import (
     bonferroni_interval,
-    equicoordinate_quantile,
     multinomial_equicoordinate_quantile,
     mvn_interval,
     pointwise_interval,
-    prediction_covariance,
 )
 from .bayes import (
     PosteriorDraws,
@@ -52,7 +50,6 @@ from .errors import (
     InitializationError,
     InvalidDispersion,
     MnpredError,
-    NotPSD,
     ParseError,
     ValidationError,
     ZeroCategory,

@@ -29,10 +29,6 @@ class InvalidDispersion(ValidationError):
     """Dispersion outside the open interval (1, n) needed for generation."""
 
 
-class NotPSD(MnpredError):
-    """A nominally positive semi-definite matrix has a clearly negative eigenvalue."""
-
-
 class DomainError(MnpredError):
     """Argument outside the mathematical domain of the function."""
 

@@ -67,3 +67,25 @@ def appender(path):
             fh.write(line + "\n")
 
     return append
+
+
+def mc_equicoordinate_quantile(corr, alpha, rng, n_draws):
+    """(1-alpha) quantile of max_c |Z_c| for Z ~ N(0, corr), by Monte Carlo.
+
+    The oracle for the package's exact mvn quantile.  The correlation may be
+    singular, so the draws are built from its eigendecomposition with
+    near-zero eigenvalues dropped.  The shocks come from the RngStream
+    ``rng`` in blocks of rows, in the order of one (n_draws, rank) draw,
+    and each block keeps only max|Z| per draw.
+    """
+    eigvals, eigvecs = np.linalg.eigh((corr + corr.T) / 2.0)
+    keep = eigvals > 1e-10
+    root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
+    gen = rng.generator()
+    block = 8192
+    max_abs = np.empty(n_draws)
+    for i in range(0, n_draws, block):
+        shocks = gen.standard_normal((min(block, n_draws - i), root.shape[1]))
+        max_abs[i : i + shocks.shape[0]] = np.abs(root @ shocks.T).max(axis=0)
+    k = min(max(int(np.ceil((1.0 - alpha) * n_draws)), 1), n_draws) - 1
+    return float(np.partition(max_abs, k)[k])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,9 +8,11 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import mnpred as mp
-from mnpred.asymptotic import multinomial_equicoordinate_quantile, prediction_covariance
-from mnpred.errors import NotPSD, ValidationError
+from mnpred.asymptotic import multinomial_equicoordinate_quantile
+from mnpred.errors import ValidationError
 from mnpred.io import _fmt_cell
+
+from conftest import mc_equicoordinate_quantile
 
 
 def make_fit(pi, phi, K=10, n=50):
@@ -32,100 +33,23 @@ def make_fit(pi, phi, K=10, n=50):
     )
 
 
-class TestPredictionCovariance:
-    def test_structure(self, toy_fit):
-        cov = prediction_covariance(toy_fit, mp.FutureSpec(m=40))
-        sigma, corr = cov.sigma, cov.corr
-        np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
-        scale = np.abs(sigma).max()
-        np.testing.assert_allclose(sigma.sum(axis=1), 0.0, atol=1e-9 * scale)
-        np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-12)
-        off = corr[~np.eye(3, dtype=bool)]
-        assert np.all((off >= -1.0) & (off < 0.0))
-
-    def test_diagonal_matches_sep(self, toy_fit):
-        spec = mp.FutureSpec(m=40)
-        cov = prediction_covariance(toy_fit, spec)
-        point = mp.prediction_point(toy_fit, spec)
-        np.testing.assert_allclose(np.sqrt(np.diag(cov.sigma)), point.sep, rtol=1e-12)
-
-    def test_degenerate_probability_rejected(self):
-        fit = make_fit([0.5, 0.5], 2.0)
-        broken = mp.ModelFit(
-            pi_hat=np.array([1.0, 0.0]),
-            phi_hat=fit.phi_hat,
-            phi_raw=fit.phi_raw,
-            chi_square=fit.chi_square,
-            df=fit.df,
-            s_bar=fit.s_bar,
-            n_params=fit.n_params,
-            n_total=fit.n_total,
-        )
-        with pytest.raises(ValidationError):
-            prediction_covariance(broken, mp.FutureSpec(m=10))
-
-
-def reference_equicoordinate_quantile(corr, alpha, rng, n_draws=100_000):
-    """The draws-by-category formula: row-major matmul, row-wise max, full sort."""
-    eigvals, eigvecs = np.linalg.eigh((corr + corr.T) / 2.0)
-    keep = eigvals > 1e-10
-    root = eigvecs[:, keep] * np.sqrt(eigvals[keep])[None, :]
-    shocks = rng.generator().standard_normal((n_draws, int(keep.sum())))
-    max_abs = np.abs(shocks @ root.T).max(axis=1)
-    k = min(max(int(np.ceil((1.0 - alpha) * n_draws)), 1), n_draws)
-    return float(np.sort(max_abs)[k - 1])
-
-
 class TestEquicoordinateQuantile:
-    @pytest.mark.parametrize("C", [3, 5, 10])
-    def test_matches_reference_formula_exactly(self, C):
-        pi = np.random.default_rng(C).dirichlet(np.full(C, 10.0))
-        fit = make_fit(pi, 2.0, n=200)
-        corr = prediction_covariance(fit, mp.FutureSpec(m=50)).corr
-        for seed in range(3):
-            q = mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(seed))
-            assert q == reference_equicoordinate_quantile(corr, 0.05, mp.RngStream(seed))
+    """The Monte Carlo oracle in conftest against closed forms."""
 
     def test_perfect_negative_correlation_collapses_to_pointwise(self):
         corr = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        q = mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(13), n_draws=400_000)
+        q = mc_equicoordinate_quantile(corr, 0.05, mp.RngStream(13), n_draws=400_000)
         assert q == pytest.approx(1.96, abs=0.01)
 
     def test_independent_matches_sidak(self):
-        q = mp.equicoordinate_quantile(np.eye(3), 0.05, mp.RngStream(14), n_draws=400_000)
+        q = mc_equicoordinate_quantile(np.eye(3), 0.05, mp.RngStream(14), n_draws=400_000)
         sidak = norm.ppf((1 + (1 - 0.05) ** (1 / 3)) / 2)
         assert q == pytest.approx(sidak, abs=0.02)
 
     def test_perfect_positive_correlation_is_rank_one(self):
         corr = np.ones((4, 4))
-        q = mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(15), n_draws=200_000)
+        q = mc_equicoordinate_quantile(corr, 0.05, mp.RngStream(15), n_draws=200_000)
         assert q == pytest.approx(norm.ppf(0.975), abs=0.02)
-
-    def test_not_psd(self):
-        corr = np.array([[1.0, -1.2], [-1.2, 1.0]])
-        with pytest.raises(NotPSD):
-            mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(16))
-
-    def test_draw_floor(self):
-        with pytest.raises(ValidationError):
-            mp.equicoordinate_quantile(np.eye(2), 0.05, mp.RngStream(17), n_draws=10)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValidationError):
-            mp.equicoordinate_quantile(np.ones((2, 3)), 0.05, mp.RngStream(18))
-
-    def test_peak_memory_is_a_few_draw_vectors(self):
-        """Only max|Z| per draw outlives its block of shocks, not an n_draws x C table."""
-        C, n_draws = 10, 100_000
-        corr = np.corrcoef(np.random.default_rng(19).standard_normal((C, 4 * C)))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            mp.equicoordinate_quantile(corr, 0.05, mp.RngStream(19), n_draws=n_draws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * n_draws * 8
 
 
 def multinomial_corr(pi):
@@ -213,7 +137,7 @@ class TestMultinomialEquicoordinateQuantile:
         ids=["severity", "C3-03", "C10-06"],
     )
     def test_matches_monte_carlo(self, pi, seed):
-        """Within 3 Monte Carlo sd of equicoordinate_quantile at 10^7 draws.
+        """Within 3 Monte Carlo sd of the Monte Carlo oracle at 10^7 draws.
 
         The sd of a sample quantile is sqrt(p (1 - p) / n) / f(q), with the
         density f of max|Z| read off the reference lattice.
@@ -221,7 +145,7 @@ class TestMultinomialEquicoordinateQuantile:
         alpha, n = 0.05, 10_000_000
         pi = np.asarray(pi) / np.sum(pi)
         q = multinomial_equicoordinate_quantile(pi, alpha)
-        q_mc = mp.equicoordinate_quantile(multinomial_corr(pi), alpha, mp.RngStream(seed), n)
+        q_mc = mc_equicoordinate_quantile(multinomial_corr(pi), alpha, mp.RngStream(seed), n)
         coverage = reference_coverage(pi, cells=1 << 14)
         density = (coverage(q + 1e-3) - coverage(q - 1e-3)) / 2e-3
         sd = math.sqrt(alpha * (1.0 - alpha) / n) / density

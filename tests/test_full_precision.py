@@ -5,7 +5,8 @@ change in the last bits of a multiplier passes them.  These hash the raw
 float64 bytes instead: the bootstrap residuals z (in C order, whatever
 their memory layout), each bootstrap calibration's multipliers and bounds,
 the rank summaries of z and of the predictive draws, and the three Bayes
-bands.  A change that alters any of them on purpose updates the pin it
+bands.  ``ASYMPTOTIC_PINS`` hash the pointwise, Bonferroni and mvn bands of
+the same fits.  A change that alters any of them on purpose updates the pin it
 moves and says so in CHANGES.md.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import mnpred as mp
-from mnpred import bayes, bootstrap
+from mnpred import asymptotic, bayes, bootstrap
 from mnpred.empirical import rank_summary
 
 SEVERITY_PI = (0.224, 0.466, 0.273, 0.031, 0.004)
@@ -37,6 +38,15 @@ PINS = {
     "severity-gamma": "sha256:eaa7875f4415ef735d7ded2dbca8e1a0994f7cada37cd9a29aca7f9866616975",
     "unequal-sizes": "sha256:f23f2767aaa2acddf7a17c5921416526cf51f50579eb57fd55b26dde05dfc1eb",
     "ten-categories": "sha256:2bc065667283021f2ce7759b48bd11f620672e13c49a9a14f0b5500f31afcb15",
+}
+
+# The two severity shapes differ only in the ensemble's block bound, so
+# their asymptotic bands are the same.
+ASYMPTOTIC_PINS = {
+    "severity-table": "sha256:7b7a56fdcd4a030392b82ad0fbb2fd758632cfb4a94b82263b9e0b3da1171411",
+    "severity-gamma": "sha256:7b7a56fdcd4a030392b82ad0fbb2fd758632cfb4a94b82263b9e0b3da1171411",
+    "unequal-sizes": "sha256:39a100ba7a0a3d02621cfedf0623dd759b51a1653958141e2cbfa87f88fa7cf3",
+    "ten-categories": "sha256:a68ed93ccaec1a25f6ffdadc34d35773a016b423eaf99a836861b9dcd490e2ac",
 }
 
 CALIBRATIONS = (
@@ -70,15 +80,20 @@ def _update_interval(digest, ivs):
     _update(digest, ivs.multiplier_lower, ivs.multiplier_upper)
 
 
-def full_precision_digest(name, monkeypatch):
-    K, sizes, pi, phi, m, block_cells = SHAPES[name]
-    if block_cells is not None:
-        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", block_cells)
+def _shape_fit(name):
+    """The shape's root stream, dataset, fit and future spec."""
+    K, sizes, pi, phi, m, _ = SHAPES[name]
     root = mp.RngStream(2908)
     pi = np.asarray(pi) / np.sum(pi)
     data = mp.generate_dataset(K, sizes, pi, phi, root.child(0), repair=True)
-    fit = mp.fit_model(data)
-    spec = mp.FutureSpec(m=m, alpha=0.05)
+    return root, data, mp.fit_model(data), mp.FutureSpec(m=m, alpha=0.05)
+
+
+def full_precision_digest(name, monkeypatch):
+    block_cells = SHAPES[name][5]
+    if block_cells is not None:
+        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", block_cells)
+    root, data, fit, spec = _shape_fit(name)
     digest = hashlib.sha256()
     ensemble = bootstrap.build_ensemble(fit, data, spec, 2000, root.child(1))
     _update(digest, ensemble.z)
@@ -88,7 +103,7 @@ def full_precision_digest(name, monkeypatch):
     draws = bayes.mcmc_sample(
         data, bayes.PriorChoice.half_cauchy(), root.child(2), chains=2, sampling_iters=1000
     )
-    pred = bayes.posterior_predictive(draws, m, root.child(3))
+    pred = bayes.posterior_predictive(draws, spec.m, root.child(3))
     _update(digest, pred.y_pred)
     _update_summary(digest, rank_summary(pred.y_pred, spec.alpha))
     for band in BANDS:
@@ -101,3 +116,17 @@ def full_precision_digest(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_full_precision_pin(name, monkeypatch):
     assert full_precision_digest(name, monkeypatch) == PINS[name]
+
+
+def asymptotic_digest(name):
+    root, _, fit, spec = _shape_fit(name)
+    digest = hashlib.sha256()
+    _update_interval(digest, asymptotic.pointwise_interval(fit, spec))
+    _update_interval(digest, asymptotic.bonferroni_interval(fit, spec))
+    _update_interval(digest, asymptotic.mvn_interval(fit, spec, root.child(4)))
+    return "sha256:" + digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_asymptotic_pin(name):
+    assert asymptotic_digest(name) == ASYMPTOTIC_PINS[name]

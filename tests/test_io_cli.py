@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mnpred as mp
-from mnpred.asymptotic import equicoordinate_quantile, mvn_interval
+from mnpred.asymptotic import mvn_interval
 from mnpred.bayes import mcmc_sample
 from mnpred.catalog import build_scenarios
 from mnpred.cli import _build_parser, main
@@ -347,7 +347,6 @@ class TestCliPredict:
         for field in ("chains", "sampling_iters", "warmup"):
             assert default(mcmc_sample, field) == getattr(d, field)
         assert default(mvn_interval, "n_draws") == d.mvn_draws
-        assert default(equicoordinate_quantile, "n_draws") == d.mvn_draws
 
     def test_benchmark_worker_interface(self, cli_files, tmp_path):
         """perfbench/worker.py, loaded unedited, runs its own calls on this package.
@@ -867,6 +866,21 @@ def test_no_module_imports_a_worker_pool():
         or (isinstance(node, ast.alias) and node.name == "Thread")
     ]
     assert threads == []
+
+
+def test_asymptotic_module_draws_nothing():
+    """pointwise, bonferroni and mvn are functions of the fit alone:
+    asymptotic.py asks no RngStream for a generator and calls no
+    Generator draw method, so a Monte Carlo mvn quantile cannot return."""
+    draws = {"generator"} | {n for n in dir(np.random.Generator) if n[0] != "_"}
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, node in program_nodes()
+        if name == "asymptotic.py"
+        and isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in draws
+    ]
+    assert calls == []
 
 
 def exported(module) -> set[str]:

@@ -28,9 +28,6 @@ ENTRY_POINTS = {
     "build_ensemble": lambda data, fit, rng: mp.build_ensemble(
         fit, data, mp.FutureSpec(m=10), 10, rng
     ),
-    "equicoordinate_quantile": lambda data, fit, rng: mp.equicoordinate_quantile(
-        np.eye(2), 0.05, rng
-    ),
     "mvn_interval": lambda data, fit, rng: mp.mvn_interval(fit, mp.FutureSpec(m=10), rng),
     "mcmc_sample": lambda data, fit, rng: mp.mcmc_sample(data, mp.PriorChoice.half_cauchy(), rng),
     "posterior_predictive": lambda data, fit, rng: mp.posterior_predictive(_draws(), 10, rng),
