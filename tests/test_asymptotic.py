@@ -34,7 +34,7 @@ def make_fit(pi, phi, K=10, n=50):
 
 
 class TestEquicoordinateQuantile:
-    """The Monte Carlo oracle in conftest against closed forms."""
+    """The Monte Carlo oracle in conftest against closed forms and recorded quantiles."""
 
     def test_perfect_negative_correlation_collapses_to_pointwise(self):
         corr = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -50,6 +50,27 @@ class TestEquicoordinateQuantile:
         corr = np.ones((4, 4))
         q = mc_equicoordinate_quantile(corr, 0.05, mp.RngStream(15), n_draws=200_000)
         assert q == pytest.approx(norm.ppf(0.975), abs=0.02)
+
+    @pytest.mark.parametrize(
+        "C, expected",
+        [
+            (3, ["0x1.2c2bb1e3495ddp+1", "0x1.2bdb181dc682fp+1", "0x1.2c7bf37192b7dp+1"]),
+            (5, ["0x1.47ae2e80e073cp+1", "0x1.4767f9ce57a70p+1", "0x1.473dfcb7ab651p+1"]),
+            (10, ["0x1.6667027d6cba3p+1", "0x1.65d0a1f84a1c8p+1", "0x1.65dc123c362cap+1"]),
+        ],
+        ids=["3", "5", "10"],
+    )
+    def test_matches_reference_formula_exactly(self, C, expected):
+        """Bit for bit the quantiles of the package's former Monte Carlo
+        ``equicoordinate_quantile`` (recorded from it at 10^5 draws), so the
+        oracle behind criterion 6 and test_matches_monte_carlo is the same."""
+        pi = np.random.default_rng(C).dirichlet(np.full(C, 10.0))
+        corr = multinomial_corr(make_fit(pi, 2.0, n=200).pi_hat)
+        got = [
+            mc_equicoordinate_quantile(corr, 0.05, mp.RngStream(seed), 100_000).hex()
+            for seed in range(3)
+        ]
+        assert got == expected
 
 
 def multinomial_corr(pi):
@@ -160,6 +181,17 @@ class TestMultinomialEquicoordinateQuantile:
         for a, q in zip(alphas, qs):
             assert norm.ppf(1.0 - a / 2.0) <= q <= norm.ppf(1.0 - a / (2.0 * C))
 
+    @pytest.mark.parametrize(
+        "pi", [SEVERITY_PI, (0.25, 0.01, 0.74), C10_06_PI], ids=["severity", "C3-03", "C10-06"]
+    )
+    def test_symmetric_in_the_categories(self, pi):
+        """The law of max|Z| does not depend on the order of the categories."""
+        q = multinomial_equicoordinate_quantile(pi, 0.05)
+        rng = np.random.default_rng(len(pi))
+        for _ in range(5):
+            shuffled = tuple(rng.permutation(pi))
+            assert abs(multinomial_equicoordinate_quantile(shuffled, 0.05) - q) <= 1e-12
+
     def test_same_bytes_on_repeated_calls(self):
         for pi in (SEVERITY_PI, C10_06_PI, (0.6, 0.3999, 0.0001)):
             first = multinomial_equicoordinate_quantile(pi, 0.05).hex()
@@ -231,6 +263,22 @@ class TestAsymptoticIntervals:
     def test_mvn_draw_floor_still_checked(self, toy_fit):
         with pytest.raises(ValidationError, match="at least 1000 draws"):
             mp.mvn_interval(toy_fit, mp.FutureSpec(m=40), mp.RngStream(1), n_draws=999)
+
+    def test_mvn_rejects_a_degenerate_fit(self):
+        """A category with pi_hat = 0 has no prediction variance to correlate."""
+        fit = make_fit([0.5, 0.3, 0.2], 2.0)
+        broken = mp.ModelFit(
+            pi_hat=np.array([0.7, 0.3, 0.0]),
+            phi_hat=fit.phi_hat,
+            phi_raw=fit.phi_raw,
+            chi_square=fit.chi_square,
+            df=fit.df,
+            s_bar=fit.s_bar,
+            n_params=fit.n_params,
+            n_total=fit.n_total,
+        )
+        with pytest.raises(ValidationError, match="zero prediction variance"):
+            mp.mvn_interval(broken, mp.FutureSpec(m=10), mp.RngStream(1))
 
     def test_widths_increase_with_dispersion(self):
         spec = mp.FutureSpec(m=200)
