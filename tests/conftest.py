@@ -1,8 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.special import gammaln
 
 import mnpred as mp
 
@@ -89,3 +91,30 @@ def mc_equicoordinate_quantile(corr, alpha, rng, n_draws):
         max_abs[i : i + shocks.shape[0]] = np.abs(root @ shocks.T).max(axis=0)
     k = min(max(int(np.ceil((1.0 - alpha) * n_draws)), 1), n_draws) - 1
     return float(np.partition(max_abs, k)[k])
+
+
+def dm_box_probability(lower, upper, m, eta):
+    """Exact P(lower <= y <= upper) for y ~ DM(m, eta), coordinatewise.
+
+    An integer y lies in [L, U] iff ceil(L) <= y <= floor(U).  Given the
+    total m the pmf factorises over categories into the gamma terms of
+    `dm_log_pmf`, so the box probability is the coefficient of t^m in
+    the product of one truncated polynomial per category: a convolution
+    over categories, O(C m^2).
+    """
+    eta = np.asarray(eta, dtype=float)
+    lo = np.maximum(np.ceil(np.asarray(lower, dtype=float)), 0).astype(int)
+    hi = np.minimum(np.floor(np.asarray(upper, dtype=float)), m).astype(int)
+    if np.any(lo > hi) or lo.sum() > m or hi.sum() < m:
+        return 0.0
+    eta0 = float(eta.sum())
+    log_scale = gammaln(m + 1.0) + gammaln(eta0) - gammaln(m + eta0)
+    # poly[j] is the (scaled) coefficient of t^(lo.sum() + j)
+    poly = np.ones(1)
+    for c in range(eta.shape[0]):
+        x = np.arange(lo[c], hi[c] + 1, dtype=float)
+        terms = gammaln(x + eta[c]) - gammaln(x + 1.0) - gammaln(eta[c])
+        shift = float(terms.max())
+        poly = np.convolve(poly, np.exp(terms - shift))[: m - lo.sum() + 1]
+        log_scale += shift
+    return float(math.exp(log_scale) * poly[m - lo.sum()])

@@ -16,7 +16,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 from scipy.stats import norm
 
 import mnpred as mp
@@ -43,7 +42,7 @@ from mnpred.io import (
 from mnpred.methods import resolve_methods, compute_intervals
 from mnpred.simulation import Scenario, run_simulation, tail_balance
 
-from conftest import mc_equicoordinate_quantile
+from conftest import dm_box_probability, mc_equicoordinate_quantile
 
 ALPHA = 0.05
 
@@ -61,33 +60,6 @@ BEST_METHODS = ("symmetric", "asymmetric", "marginal", "masr", "rank-scs", "baye
 NOMINAL_METHODS = ("marginal", "rank-scs", "bayes-scs-cauchy")
 NEAR_NOMINAL_METHODS = ("symmetric", "asymmetric", "masr")
 LIBERAL_CONTROLS = ("bonferroni", "mvn")
-
-
-def dm_box_probability(lower, upper, m, eta):
-    """Exact P(lower <= y <= upper) for y ~ DM(m, eta), coordinatewise.
-
-    An integer y lies in [L, U] iff ceil(L) <= y <= floor(U).  Given the
-    total m the pmf factorises over categories into the gamma terms of
-    `dm_log_pmf`, so the box probability is the coefficient of t^m in
-    the product of one truncated polynomial per category: a convolution
-    over categories, O(C m^2).
-    """
-    eta = np.asarray(eta, dtype=float)
-    lo = np.maximum(np.ceil(np.asarray(lower, dtype=float)), 0).astype(int)
-    hi = np.minimum(np.floor(np.asarray(upper, dtype=float)), m).astype(int)
-    if np.any(lo > hi) or lo.sum() > m or hi.sum() < m:
-        return 0.0
-    eta0 = float(eta.sum())
-    log_scale = gammaln(m + 1.0) + gammaln(eta0) - gammaln(m + eta0)
-    # poly[j] is the (scaled) coefficient of t^(lo.sum() + j)
-    poly = np.ones(1)
-    for c in range(eta.shape[0]):
-        x = np.arange(lo[c], hi[c] + 1, dtype=float)
-        terms = gammaln(x + eta[c]) - gammaln(x + 1.0) - gammaln(eta[c])
-        shift = float(terms.max())
-        poly = np.convolve(poly, np.exp(terms - shift))[: m - lo.sum() + 1]
-        log_scale += shift
-    return float(math.exp(log_scale) * poly[m - lo.sum()])
 
 
 @pytest.fixture
