@@ -60,10 +60,18 @@ __all__ = [
 # so each per-block table stays near half a MB whatever K*C is.  The block is
 # part of the draw layout: block j draws its counts, repair integers and future
 # clusters from substream j of the ensemble stream, so a new block rule moves
-# the bytes of any ensemble larger than one block.  The same bound caps the
-# ensemble's inversion tables (at most about 1 MB of CDF and guide arrays);
-# an ensemble whose tables would hold more draws gammas and multinomials.
+# the bytes of any ensemble larger than one block.
 _BLOCK_CELLS = 1 << 16
+
+# The ensemble's inversion tables hold at most _TABLE_CELLS conditional-CDF
+# cells (1.5 MB of float64, and int16 guides of at most about half that).  The
+# first band mass in _BAND_MASSES whose tables fit is used: 0 for full tables,
+# else a band that leaves each category's rows and columns out to that mass
+# (dm.InversionTable), whose draws are the full table's, bit for bit.  Past
+# 1e-2 the band's exact fallbacks would cost more than they save, so an
+# ensemble whose tables fit at no mass draws gammas and multinomials.
+_TABLE_CELLS = 3 << 16
+_BAND_MASSES = (0.0, 1e-3, 1e-2)
 
 # The rank summary (empirical.rank_summary) needs at least two ensemble rows.
 MIN_REPLICATES = 2
@@ -102,9 +110,12 @@ def build_ensemble(
 
     Clusters are drawn exactly by inversion (``dm.InversionTable``) from
     one table per distinct historical size and one for m, built here
-    once and only read by the blocks, while those tables hold at most
-    _BLOCK_CELLS conditional-CDF cells, (C - 1)(n + 1)^2 per size;
-    larger ones draw Dirichlet gammas and multinomials instead.
+    once and only read by the blocks.  The tables are full while they
+    hold at most _TABLE_CELLS conditional-CDF cells, (C - 1)(n + 1)^2 per
+    size, and else bands at the first mass of _BAND_MASSES that fits;
+    their draws are the same either way.  Ensembles whose bands do not
+    fit either (many distinct large cluster sizes, say) draw Dirichlet
+    gammas and multinomials instead.
 
     z is held category-major (Fortran order), so each category's B
     residuals are contiguous for the calibrations' partitions and sorts.
@@ -122,11 +133,18 @@ def build_ensemble(
     # The future shares a historical size's table when m and its dispersion match.
     distinct = [int(n) for n in np.unique(sizes)]
     shared = m in distinct and phi_future == fit.phi_hat
+    needed = [(n, fit.phi_hat) for n in distinct] + ([] if shared else [(m, phi_future)])
     tables = future = None
-    table_sizes = distinct if shared else distinct + [m]
-    if sum(InversionTable.cells(n, C) for n in table_sizes) <= _BLOCK_CELLS:
-        tables = {n: InversionTable(n, fit.pi_hat, fit.phi_hat) for n in distinct}
-        future = tables[m] if shared else InversionTable(m, fit.pi_hat, phi_future)
+    # A band also holds its log-pmf terms, about 4 (C - 1)(n + 1) floats per size.
+    band_terms = 4 * (C - 1) * (max(n for n, _ in needed) + 1)
+    for mass in _BAND_MASSES:
+        if mass and band_terms > _TABLE_CELLS:
+            break
+        cells = sum(InversionTable.band_cells(n, fit.pi_hat, phi, mass) for n, phi in needed)
+        if cells <= _TABLE_CELLS:
+            tables = {n: InversionTable(n, fit.pi_hat, fit.phi_hat, mass) for n in distinct}
+            future = tables[m] if shared else InversionTable(m, fit.pi_hat, phi_future, mass)
+            break
     z = np.empty((B, C), order="F")
     block = max(1, min(500, _BLOCK_CELLS // (sizes.shape[0] * C)))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mnpred as mp
+import mnpred.bootstrap
 from mnpred.bootstrap import (
     BootstrapEnsemble,
     asymmetric_multipliers,
@@ -135,7 +136,7 @@ class TestBuildEnsemble:
         with pytest.raises(ValidationError):
             build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=10), B=1, rng=mp.RngStream(1))
 
-    def test_matches_block_by_block_reference(self, histo_data, histo_fit):
+    def test_matches_block_by_block_reference(self, monkeypatch, histo_data, histo_fit):
         """Block j draws its counts, repair integers and futures from substream j.
 
         The refit equals a whole-table one.  The severity table takes blocks
@@ -143,9 +144,12 @@ class TestBuildEnsemble:
         takes 65536 // 800 = 81 (B=250: three blocks of 81 and one of 7).
         Both draw by inversion: their tables hold 4 x 47^2 = 8836 and
         19 x (31^2 + 47^2) = 60230 cells.  Clusters of 30 and 200 units at
-        C=4 need 3 x (31^2 + 201^2 + 47^2) = 130713 cells, past the 65536
-        of _BLOCK_CELLS, so that ensemble draws gammas and multinomials in
-        blocks of 65536 // 160 = 409 (B=1000: 409, 409 and 182).
+        C=4 take blocks of 65536 // 160 = 409 (B=1000: 409, 409 and 182).
+        Their full tables hold 3 x (31^2 + 201^2 + 47^2) = 130713 cells:
+        with _TABLE_CELLS one lower and a coarse band mass, that ensemble
+        draws from narrow bands and their exact fallbacks, and gives the
+        full tables' bytes; with no table budget at all it draws gammas and
+        multinomials.
         """
         wide = mp.generate_dataset(
             40, 30, np.full(20, 0.05), 3.0, mp.RngStream(37).child(0), repair=True
@@ -155,14 +159,19 @@ class TestBuildEnsemble:
             40, sizes, (0.1, 0.2, 0.3, 0.4), 3.0, mp.RngStream(37).child(1), repair=True
         )
         cases = (
-            (histo_data, histo_fit, 1234, 500, True),
-            (wide, mp.fit_model(wide), 250, 81, True),
-            (big, mp.fit_model(big), 1000, 409, False),
+            (histo_data, histo_fit, 1234, 500, True, None),
+            (wide, mp.fit_model(wide), 250, 81, True, None),
+            (big, mp.fit_model(big), 1000, 409, True, 130712),
+            (big, mp.fit_model(big), 1000, 409, False, 0),
         )
         spec, m = mp.FutureSpec(m=46), 46
-        for data, fit, B, block, inversion in cases:
+        for data, fit, B, block, inversion, table_cells in cases:
             assert -(-B // block) >= 3 and B % block  # a short last block
-            ens = build_ensemble(fit, data, spec, B, mp.RngStream(34))
+            with monkeypatch.context() as patch:
+                if table_cells is not None:
+                    patch.setattr("mnpred.bootstrap._TABLE_CELLS", table_cells)
+                    patch.setattr("mnpred.bootstrap._BAND_MASSES", (0.0, 0.2))
+                ens = build_ensemble(fit, data, spec, B, mp.RngStream(34))
             y_hat_star, sep_star, y_star = block_reference(
                 data, fit, m, B, block, 34, inversion
             )
@@ -173,15 +182,16 @@ class TestBuildEnsemble:
 class TestParallelBlocks:
     """The blocks run on one worker process per usable core on either route; the bytes never depend on it.
 
-    Most tests force the gamma route: the severity table's inversion
-    tables hold 4 x 47^2 = 8836 cells, so a cap one cell lower sends it
-    down that route, in blocks of min(500, 8835 // 50) = 176 replicates.
+    Most tests force the gamma route with no table budget, and a block
+    rule one cell below the severity table's 4 x 47^2 = 8836 table cells,
+    which gives blocks of min(500, 8835 // 50) = 176 replicates.
     """
 
     @pytest.fixture
     def block(self, monkeypatch, histo_data):
         """Force the gamma route on the severity table; return its block size."""
         K, C = histo_data.counts.shape
+        monkeypatch.setattr("mnpred.bootstrap._TABLE_CELLS", 0)
         monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
         return min(500, (InversionTable.cells(46, C) - 1) // (K * C))
 
@@ -409,6 +419,80 @@ class TestEnsembleMemory:
         assert peaks[1] < peaks[0] + (B - 8 * 131) * C * 8
 
 
+def tables_used(monkeypatch, fit, data, m, B):
+    """The historical and future tables one one-worker build_ensemble call draws from (None: gammas)."""
+    seen = {}
+
+    def sample(*args, **kwargs):
+        seen["tables"] = kwargs["tables"]
+        return sample_dm_matrix(*args, **kwargs)
+
+    def draw(*args, **kwargs):
+        seen["future"] = kwargs["table"]
+        return draw_dm_counts(*args, **kwargs)
+
+    monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+    monkeypatch.setattr(mnpred.bootstrap, "sample_dm_matrix", sample)
+    monkeypatch.setattr(mnpred.bootstrap, "draw_dm_counts", draw)
+    build_ensemble(fit, data, mp.FutureSpec(m=m), B, mp.RngStream(45))
+    return seen["tables"], seen["future"]
+
+
+def table_bytes(tables):
+    """Bytes of the distinct tables' CDFs, guides and log-pmf terms."""
+    held = {id(t): t for t in tables}.values()
+    arrays = [a for t in held for part in (t.cdf, t.guide, t._terms) for a in part]
+    return sum(a.nbytes for a in arrays)
+
+
+class TestTableBudget:
+    """The ensemble's inversion tables hold at most _TABLE_CELLS cells and reach the largest cells.
+
+    The catalog's largest cells (C10 vectors, K=100 clusters of n=500,
+    futures of 500) have full tables of 9 x 501^2 = 2259009 cells; their
+    bands fit the budget at every dispersion of the catalog.
+    """
+
+    @pytest.mark.parametrize("phi", [1.01, 5.0, 8.0])
+    def test_largest_catalog_cells_draw_by_inversion(self, monkeypatch, phi):
+        vectors = [v for key, v in mp.catalog_vectors().items() if key.startswith("C10-")]
+        assert len(vectors) == 10
+        for i, pi in enumerate(vectors):
+            data = mp.generate_dataset(100, 500, pi, phi, mp.RngStream(46).child(i), repair=True)
+            tables, future = tables_used(monkeypatch, mp.fit_model(data), data, 500, 2)
+            assert tables is not None and future is not None
+            held = {id(t): t for t in (*tables.values(), future)}.values()
+            assert sum(t.n_cells for t in held) <= mnpred.bootstrap._TABLE_CELLS
+
+    def test_tables_add_only_their_own_bytes(self, monkeypatch):
+        """At predict-wide's shape the traced peak passes the gamma route's by at most the tables.
+
+        Two blocks of 65 replicates, one worker; with no table budget the
+        ensemble takes the gamma route, as it did before bands.  Each route
+        runs once first, so that numpy's caches of small blocks are warm
+        on both.
+        """
+        data = mp.generate_dataset(
+            100, 500, mp.catalog_vectors()["C10-06"], 8.0, mp.RngStream(47).child(0), repair=True
+        )
+        fit = mp.fit_model(data)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cells in 2 * (0, mnpred.bootstrap._TABLE_CELLS):
+                monkeypatch.setattr(mnpred.bootstrap, "_TABLE_CELLS", cells)
+                tracemalloc.reset_peak()
+                build_ensemble(fit, data, mp.FutureSpec(m=500), 130, mp.RngStream(47).child(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        peaks = peaks[2:]
+        tables, future = tables_used(monkeypatch, fit, data, 500, 2)
+        assert future is tables[500] and future.n_cells < InversionTable.cells(500, 10) // 10
+        assert peaks[1] <= peaks[0] + table_bytes([future])
+
+
 class TestCategoryMajor:
     """z is held category-major and the calibrations read it without B x C temporaries.
 
@@ -422,6 +506,7 @@ class TestCategoryMajor:
         self, monkeypatch, histo_data, histo_fit, block_cells
     ):
         if block_cells is not None:
+            monkeypatch.setattr("mnpred.bootstrap._TABLE_CELLS", 0)
             monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", block_cells)
         z = build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(3)).z
         assert z.flags.f_contiguous and z.shape == (1234, 5)

@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of five small end-to-end outputs.
+"""Pinned sha256 digests of six small end-to-end outputs.
 
 Criterion 11 only compares two runs of the same tree, so a change of draw
 layout would otherwise pass unnoticed.  A change that alters draws on
@@ -30,6 +30,13 @@ WIDE = [
     "--pi", ",".join(["0.1"] * 10), "--seed", "1",
 ]
 BOOTSTRAP = "symmetric,asymmetric,marginal,masr,rank-scs"
+# A K=20, n=300, C=10 table: its full inversion table would hold
+# 9 x 301^2 = 815409 cells, so the ensemble draws from banded tables and
+# their exact fallbacks, and this digest pins those draws.
+BANDED = [
+    "generate", "--K", "20", "--n", "300", "--phi", "5",
+    "--pi", ",".join(["0.1"] * 10), "--seed", "2",
+]
 
 DIGESTS = {
     "predict-frequentist": "sha256:b1221642600f9bbe46a047c300ddf4437fff6304ef56b8d4ceef3595523d05ce",
@@ -37,6 +44,7 @@ DIGESTS = {
     "simulate-cell": "sha256:1a17b5e15a5780b4f1ae4f9e50e8b02cab6f67a068b572952de09a3ab5e975ae",
     "predict-blocks": "sha256:d98ed06de8e7dfd0a3a52718808984ff659a85a26b63fcf3009e91f26e8cf792",
     "predict-two-priors": "sha256:ffee4fc9c4a2561c172b5aecac6d4e4f856127d797057039933e25c7558ddcde",
+    "predict-banded": "sha256:c8a9f4c8897113e47a9570a463e35d1d2aea606fb593fe53fdc99da6567a4455",
 }
 
 
@@ -89,3 +97,12 @@ def test_ensemble_blocks_digest(tmp_path):
     argv = ["predict", "--data", str(counts), "--m", "46", "--methods", BOOTSTRAP]
     assert main([*argv, "--B", "1000", "--seed", "0", "--out", str(out)]) == 0
     assert sha256_of(out) == DIGESTS["predict-blocks"]
+
+
+def test_banded_tables_digest(tmp_path):
+    counts = tmp_path / "banded.csv"
+    assert main([*BANDED, "--out", str(counts)]) == 0
+    out = tmp_path / "intervals.csv"
+    argv = ["predict", "--data", str(counts), "--m", "300", "--methods", BOOTSTRAP]
+    assert main([*argv, "--B", "400", "--seed", "0", "--out", str(out)]) == 0
+    assert sha256_of(out) == DIGESTS["predict-banded"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import betabinom, chi2
 
 import mnpred as mp
 from mnpred.bayes import dm_log_pmf
@@ -313,6 +313,103 @@ class TestInversionTable:
             want[:, where] = tables[n].draw(u).reshape(B, len(where), 4)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(got.sum(axis=2), np.tile(sizes, (B, 1)))
+
+
+C10_06 = np.array((0.025, 0.025, 0.025, 0.025, 0.05, 0.05, 0.05, 0.05, 0.10, 0.60))
+
+
+class TestBandedTable:
+    """A band stores part of each category's rows and columns and draws the full table's clusters."""
+
+    @staticmethod
+    def band_cases(full, band, u):
+        """How many uniforms of each category fell outside the band's rows or past its row's top."""
+        draws = full.draw(u)
+        left = np.full(u.shape[1], full.n)
+        outside = past_top = 0
+        for c in range(full.n_uniforms):
+            rows, width = band.cdf[c].shape
+            row = left - band.lo[c]
+            inside = (row >= 0) & (row < rows)
+            outside += np.count_nonzero(~inside)
+            past_top += np.count_nonzero(u[c, inside] >= band.cdf[c][row[inside], width - 1])
+            left -= draws[:, c]
+        return outside, past_top
+
+    @pytest.mark.parametrize(
+        "n, pi, phi, mass",
+        [
+            (46, TestInversionTable.SEVERITY, 3.19, 0.2),
+            (80, TestInversionTable.SEVERITY, 5.0, 0.05),
+            (60, (0.2, 0.0, 0.5, 0.3), 1.01, 0.3),
+            (120, np.full(6, 1.0 / 6.0), 8.0, 0.01),
+        ],
+        ids=["severity", "severity-80", "structural-zero", "six-categories"],
+    )
+    def test_band_draws_the_full_tables_clusters(self, n, pi, phi, mass):
+        """Same clusters for the same uniforms, fallbacks included.
+
+        The uniforms are random ones, every stored F, the double just below
+        each, and the largest double below 1; both fallbacks (a row outside
+        the band, u at or past its row's last stored F) must occur.
+        """
+        full, band = InversionTable(n, pi, phi), InversionTable(n, pi, phi, mass)
+        assert band.n_cells < InversionTable.cells(n, full.n_uniforms + 1)
+        stored = np.concatenate([cdf.ravel() for cdf in band.cdf])
+        edges = np.concatenate([stored, np.nextafter(stored, 0.0), [np.nextafter(1.0, 0.0)]])
+        edges = np.concatenate([edges[edges < 1.0], mp.RngStream(41).generator().random(40_000)])
+        u = np.tile(edges, (full.n_uniforms, 1))
+        for c in range(full.n_uniforms):
+            mp.RngStream(42).child(c).generator().shuffle(u[c])
+        outside, past_top = self.band_cases(full, band, u)
+        assert outside > 0 and past_top > 0
+        got = band.draw(u)
+        assert got.dtype == np.int64 and got.tobytes() == full.draw(u).tobytes()
+
+    def test_band_leaves_out_at_most_its_mass(self):
+        """Rows outside the band and u past a row's top each take at most mass per category."""
+        n, phi, mass, N = 200, 5.0, 0.01, 200_000
+        band = InversionTable(n, C10_06, phi, mass)
+        full = InversionTable(n, C10_06, phi)
+        u = mp.RngStream(43).generator().random((band.n_uniforms, N))
+        outside, past_top = self.band_cases(full, band, u)
+        bar = band.n_uniforms * mass * N
+        assert 0 < outside < bar and 0 < past_top < bar
+        assert band.draw(u).tobytes() == full.draw(u).tobytes()
+
+    def test_marginals_at_the_predict_wide_fit(self):
+        """Each category of 10^5 banded draws against its BetaBinomial(n, eta_c, eta0 - eta_c).
+
+        The table is the one the ensemble builds at the fit of a K=100,
+        n=500, C10-06, phi=8 table.  Chi-square over bins pooled until each
+        expects at least 5, each category at level 0.001 (0.01 over the ten),
+        fixed before the run.
+        """
+        data = mp.generate_dataset(100, 500, C10_06, 8.0, mp.RngStream(44).child(0), repair=True)
+        fit = mp.fit_model(data)
+        band = InversionTable(500, fit.pi_hat, fit.phi_hat, 1e-3)
+        assert band.n_cells < InversionTable.cells(500, 10) // 10
+        N = 100_000
+        draws = band.draw(mp.RngStream(44).child(1).generator().random((band.n_uniforms, N)))
+        eta = derive_eta0(500, fit.phi_hat) * fit.pi_hat
+        for c in range(10):
+            expected = N * betabinom.pmf(np.arange(501), 500, eta[c], eta.sum() - eta[c])
+            observed = np.bincount(draws[:, c], minlength=501).astype(float)
+            # Pool neighbouring bins until each expects at least 5; a short last one joins its left.
+            pooled_e, pooled_o = [0.0], [0.0]
+            for e, o in zip(expected, observed):
+                if pooled_e[-1] >= 5.0:
+                    pooled_e.append(0.0)
+                    pooled_o.append(0.0)
+                pooled_e[-1] += e
+                pooled_o[-1] += o
+            if pooled_e[-1] < 5.0:
+                pooled_e[-2] += pooled_e.pop()
+                pooled_o[-2] += pooled_o.pop()
+            pooled_e, pooled_o = np.array(pooled_e), np.array(pooled_o)
+            assert pooled_e.min() >= 5.0 and pooled_e.shape[0] > 10
+            stat = float(((pooled_o - pooled_e) ** 2 / pooled_e).sum())
+            assert stat < chi2.ppf(0.999, pooled_e.shape[0] - 1), (c, stat)
 
 
 # Reference copies of the draws as they were before the ensemble stopped

@@ -145,7 +145,13 @@ def gamma_route(monkeypatch):
     monkeypatch.setattr(bootstrap, "draw_dm_counts", draw)
 
 
-ROUTES = {"table": lambda monkeypatch: None, "gamma": gamma_route}
+def band_route(monkeypatch):
+    """Narrow bands: the full table's 2 x 6^2 = 72 cells do not fit, a band at mass 0.2 does."""
+    monkeypatch.setattr(bootstrap, "_TABLE_CELLS", 71)
+    monkeypatch.setattr(bootstrap, "_BAND_MASSES", (0.0, 0.2))
+
+
+ROUTES = {"table": lambda monkeypatch: None, "gamma": gamma_route, "band": band_route}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

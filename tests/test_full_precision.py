@@ -21,30 +21,40 @@ from mnpred.empirical import rank_summary
 
 SEVERITY_PI = (0.224, 0.466, 0.273, 0.031, 0.004)
 
-# name -> (K, cluster sizes, pi, phi, m, _BLOCK_CELLS or None for the default)
+# name -> (K, cluster sizes, pi, phi, m, mnpred.bootstrap settings set for the shape)
 SHAPES = {
     # the predict-severity table: every cluster table fits, so the clusters
     # are drawn by inversion
-    "severity-table": (10, 46, SEVERITY_PI, 3.19, 46, None),
-    # the same table with the block bound lowered below one inversion
-    # table, so the ensemble draws gammas and multinomials in 100 blocks
-    "severity-gamma": (10, 46, SEVERITY_PI, 3.19, 46, 1 << 10),
-    "unequal-sizes": (12, np.where(np.arange(12) % 2, 40, 30), (0.4, 0.3, 0.2, 0.1), 4.0, 35, None),
-    "ten-categories": (20, 30, tuple(np.linspace(1.0, 2.0, 10) / 15.0), 3.0, 30, None),
+    "severity-table": (10, 46, SEVERITY_PI, 3.19, 46, {}),
+    # the same table with no table budget and the block bound lowered, so
+    # the ensemble draws gammas and multinomials in 100 blocks
+    "severity-gamma": (
+        10, 46, SEVERITY_PI, 3.19, 46, {"_TABLE_CELLS": 0, "_BLOCK_CELLS": 1 << 10}
+    ),
+    # the same table with a budget one cell below its full table, so the
+    # clusters come from a band that leaves out a fifth of each law's mass
+    # and from its exact fallbacks: the full table's bytes
+    "severity-band": (
+        10, 46, SEVERITY_PI, 3.19, 46, {"_TABLE_CELLS": 8835, "_BAND_MASSES": (0.0, 0.2)}
+    ),
+    "unequal-sizes": (12, np.where(np.arange(12) % 2, 40, 30), (0.4, 0.3, 0.2, 0.1), 4.0, 35, {}),
+    "ten-categories": (20, 30, tuple(np.linspace(1.0, 2.0, 10) / 15.0), 3.0, 30, {}),
 }
 
 PINS = {
     "severity-table": "sha256:a5dc105fdef02f534cf7cbcca1c777fe6eb45b3d0dad1f8c9375cd750e1571a2",
+    "severity-band": "sha256:a5dc105fdef02f534cf7cbcca1c777fe6eb45b3d0dad1f8c9375cd750e1571a2",
     "severity-gamma": "sha256:eaa7875f4415ef735d7ded2dbca8e1a0994f7cada37cd9a29aca7f9866616975",
     "unequal-sizes": "sha256:f23f2767aaa2acddf7a17c5921416526cf51f50579eb57fd55b26dde05dfc1eb",
     "ten-categories": "sha256:2bc065667283021f2ce7759b48bd11f620672e13c49a9a14f0b5500f31afcb15",
 }
 
-# The two severity shapes differ only in the ensemble's block bound, so
+# The three severity shapes differ only in the ensemble's settings, so
 # their asymptotic bands are the same.
 ASYMPTOTIC_PINS = {
     "severity-table": "sha256:7b7a56fdcd4a030392b82ad0fbb2fd758632cfb4a94b82263b9e0b3da1171411",
     "severity-gamma": "sha256:7b7a56fdcd4a030392b82ad0fbb2fd758632cfb4a94b82263b9e0b3da1171411",
+    "severity-band": "sha256:7b7a56fdcd4a030392b82ad0fbb2fd758632cfb4a94b82263b9e0b3da1171411",
     "unequal-sizes": "sha256:39a100ba7a0a3d02621cfedf0623dd759b51a1653958141e2cbfa87f88fa7cf3",
     "ten-categories": "sha256:a68ed93ccaec1a25f6ffdadc34d35773a016b423eaf99a836861b9dcd490e2ac",
 }
@@ -90,9 +100,8 @@ def _shape_fit(name):
 
 
 def full_precision_digest(name, monkeypatch):
-    block_cells = SHAPES[name][5]
-    if block_cells is not None:
-        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", block_cells)
+    for setting, value in SHAPES[name][5].items():
+        monkeypatch.setattr(bootstrap, setting, value)
     root, data, fit, spec = _shape_fit(name)
     digest = hashlib.sha256()
     ensemble = bootstrap.build_ensemble(fit, data, spec, 2000, root.child(1))

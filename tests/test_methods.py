@@ -255,6 +255,7 @@ class TestFamilyTasks:
         ensemble runs inline, and the one fork is the priors' worker.
         """
         C = histo_data.counts.shape[1]
+        monkeypatch.setattr("mnpred.bootstrap._TABLE_CELLS", 0)
         monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
         monkeypatch.setattr("mnpred.pool._WORKERS", 2)
         log = tmp_path / "draws"
