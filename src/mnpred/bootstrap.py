@@ -65,11 +65,12 @@ _BLOCK_CELLS = 1 << 16
 
 # The ensemble's inversion tables hold at most _TABLE_CELLS conditional-CDF
 # cells (1.5 MB of float64, and int16 guides of at most about half that).  The
-# first band mass in _BAND_MASSES whose tables fit is used: 0 for full tables,
-# else a band that leaves each category's rows and columns out to that mass
-# (dm.InversionTable), whose draws are the full table's, bit for bit.  Past
-# 1e-2 the band's exact fallbacks would cost more than they save, so an
-# ensemble whose tables fit at no mass draws gammas and multinomials.
+# first band mass in _BAND_MASSES whose tables fit is used: 0 stores every
+# reachable row and column, (n + 1) + (C - 2)(n + 1)^2 cells per size, and a
+# larger mass leaves each category's rows and columns out to that mass
+# (dm.InversionTable); the draws are the same, bit for bit.  Past 1e-2 the
+# band's exact fallbacks would cost more than they save, so an ensemble whose
+# tables fit at no mass draws gammas and multinomials.
 _TABLE_CELLS = 3 << 16
 _BAND_MASSES = (0.0, 1e-3, 1e-2)
 
@@ -110,12 +111,12 @@ def build_ensemble(
 
     Clusters are drawn exactly by inversion (``dm.InversionTable``) from
     one table per distinct historical size and one for m, built here
-    once and only read by the blocks.  The tables are full while they
-    hold at most _TABLE_CELLS conditional-CDF cells, (C - 1)(n + 1)^2 per
-    size, and else bands at the first mass of _BAND_MASSES that fits;
-    their draws are the same either way.  Ensembles whose bands do not
-    fit either (many distinct large cluster sizes, say) draw Dirichlet
-    gammas and multinomials instead.
+    once and only read by the blocks.  The tables store every reachable
+    row and column while they hold at most _TABLE_CELLS conditional-CDF
+    cells, (n + 1) + (C - 2)(n + 1)^2 per size, and else bands at the
+    first mass of _BAND_MASSES that fits; their draws are the same either
+    way.  Ensembles whose bands do not fit either (many distinct large
+    cluster sizes, say) draw Dirichlet gammas and multinomials instead.
 
     z is held category-major (Fortran order), so each category's B
     residuals are contiguous for the calibrations' partitions and sorts.
@@ -135,11 +136,9 @@ def build_ensemble(
     shared = m in distinct and phi_future == fit.phi_hat
     needed = [(n, fit.phi_hat) for n in distinct] + ([] if shared else [(m, phi_future)])
     tables = future = None
-    # A band also holds its log-pmf terms, about 4 (C - 1)(n + 1) floats per size.
-    band_terms = 4 * (C - 1) * (max(n for n, _ in needed) + 1)
-    for mass in _BAND_MASSES:
-        if mass and band_terms > _TABLE_CELLS:
-            break
+    # A table also holds its log-pmf terms, about 4 (C - 1)(n + 1) floats per size.
+    terms_fit = 4 * (C - 1) * (max(n for n, _ in needed) + 1) <= _TABLE_CELLS
+    for mass in _BAND_MASSES if terms_fit else ():
         cells = sum(InversionTable.band_cells(n, fit.pi_hat, phi, mass) for n, phi in needed)
         if cells <= _TABLE_CELLS:
             tables = {n: InversionTable(n, fit.pi_hat, fit.phi_hat, mass) for n in distinct}

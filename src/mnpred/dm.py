@@ -103,18 +103,18 @@ class InversionTable:
     (n = 1) takes eta = pi, since its law does not depend on the
     concentration.
 
-    With ``mass`` = 0 the table is full: ``cdf[c, r, k]`` is F(k | r) of
-    the c-th positive category for every r, k = 0..n (1.0 from k = r on)
-    and ``guide[c, r, i]`` bucket i's first k.  With ``mass`` > 0 it is a
-    band: ``cdf[c]`` holds only the rows r = lo[c] .. lo[c] + rows - 1
-    that the units left before category c fall in with probability at
-    least 1 - mass (n - r is BetaBinomial(n, sum_{j<c} eta_j,
-    sum_{j>=c} eta_j)), and only the columns k up to the point where each
-    of those rows' F reaches 1 - mass; ``cdf`` and ``guide`` are then
-    lists of per-category arrays.  A uniform whose row lies outside the
+    ``cdf[c]`` and ``guide[c]`` are the c-th positive category's block:
+    row r - lo[c] holds F(k | r) over the stored columns k, and its G
+    bucket starts.  At ``mass`` = 0 the blocks hold every reachable row
+    and column, (n + 1) + (C' - 2)(n + 1)^2 cells for C' positive
+    categories (the first category's one row is r = n, since no units are
+    used before it; F is 1.0 from k = r on).  At ``mass`` > 0 each keeps
+    only the rows that the units left before it fall in with probability
+    at least 1 - mass, and the columns up to where each of those rows' F
+    reaches 1 - mass (``_band``).  A uniform whose row lies outside such a
     band, or that is at least its row's last stored F, is inverted from
     that row computed on demand in the same operations as the build, so
-    a band draws exactly the full table's clusters.  The table is only
+    every mass draws the same clusters, bit for bit.  The table is only
     read after it is built, so every block of an ensemble shares it.
     """
 
@@ -130,29 +130,15 @@ class InversionTable:
         self._terms = _log_pmf_terms(eta, n)
         self.lo, rows, width = _band(eta, n, mass, self._terms)
         self.n_cells = int(rows @ width)
-        w, U = n + 1, self.n_uniforms
         # Each category's G is the first power of two at or above its width.
         G = [1 << (int(k) - 1).bit_length() for k in width]
-        self.guide_size = max(G, default=1 << n.bit_length())
         # k <= n, so a guide entry fits in 16 bits below 32768 units.
         kind = np.int16 if n < 1 << 15 else np.int32
-        # Rows a chunk at a time, so the build's temporaries stay near the
-        # chunk's cells; a full table's rows are all alike, so its chunks run
-        # across categories.
-        if mass == 0.0:
-            self.cdf = np.empty((U, w, w))
-            self.guide = np.empty((U, w, self.guide_size), dtype=kind)
-            c, r = np.divmod(np.arange(U * w), w)
-            cdf, guide = self.cdf.reshape(-1, w), self.guide.reshape(U * w, self.guide_size)
-            step = max(1, _FULL_CHUNK_CELLS // w)
-            for i in range(0, U * w, step):
-                cdf[i : i + step] = _cdf_rows(self._terms, c[i : i + step], r[i : i + step], w)
-                guide[i : i + step] = _guide(cdf[i : i + step], self.guide_size, kind)
-            return
         self.cdf = [np.empty((r, k)) for r, k in zip(rows, width)]
         self.guide = [np.empty((r, g), dtype=kind) for r, g in zip(rows, G)]
-        step = max(1, _CHUNK_CELLS // w)
-        for c in range(U):
+        # Rows a chunk at a time, so the build's temporaries stay near the chunk's cells.
+        step = max(1, _CHUNK_CELLS // (n + 1))
+        for c in range(self.n_uniforms):
             for i in range(0, rows[c], step):
                 r = self.lo[c] + np.arange(i, min(rows[c], i + step))
                 cdf = _cdf_rows(self._terms, c, r, max(width[c], int(r[-1]) + 1))[:, : width[c]]
@@ -160,18 +146,11 @@ class InversionTable:
                 self.guide[c][i : i + step] = _guide(cdf, G[c], kind)
 
     @staticmethod
-    def cells(n: int, n_categories: int) -> int:
-        """Conditional-CDF cells of a full table at size n: (C - 1)(n + 1)^2."""
-        return (n_categories - 1) * (n + 1) ** 2
-
-    @staticmethod
     def band_cells(n: int, pi, phi: float, mass: float) -> int:
         """Conditional-CDF cells ``InversionTable(n, pi, phi, mass)`` would store."""
-        if mass == 0.0:
-            return InversionTable.cells(n, int(np.count_nonzero(np.asarray(pi) > 0.0)))
         pi = _checked_probs(pi)
         eta = pi[pi > 0.0] * (1.0 if n == 1 else derive_eta0(n, phi))
-        _, rows, width = _band(eta, n, mass, _log_pmf_terms(eta, n))
+        _, rows, width = _band(eta, n, mass)
         return int(rows @ width)
 
     def draw(self, u: np.ndarray) -> np.ndarray:
@@ -186,12 +165,13 @@ class InversionTable:
         for c, uc in enumerate(u):
             (rows, width), G = self.cdf[c].shape, self.guide[c].shape[1]
             cdf, guide = self.cdf[c].reshape(-1), self.guide[c].reshape(-1)
-            row, redo = left, None
-            if rows < w or width < w:
+            row, redo = left - self.lo[c], None
+            # A block with every reachable row (r = n alone for the first
+            # category) and column needs no fallback.
+            if width < w or (c and rows < w):
                 # Rows outside the band (negative ones wrap to large unsigned)
                 # and u past a row's last stored F are inverted afterwards;
                 # meanwhile they read row 0 at u = 0, which stays inside it.
-                row = left - self.lo[c]
                 outside = row.astype(np.uintp) >= rows
                 row[outside] = 0
                 redo = np.flatnonzero(outside | (uc >= self.cdf[c][row, width - 1]))
@@ -226,13 +206,10 @@ class InversionTable:
         return k
 
 
-# Cells of conditional-CDF rows computed at once.  A band's build and its
-# on-demand rows work in chunks of 32 KB of float64: with 128 KB chunks,
-# predict-wide's peak RSS read 0.35 MB higher at an equal traced peak.  A
-# full table, built once per ensemble, takes chunks of 512 KB, one pass for
-# every table of at most 65536 cells.
+# Cells of conditional-CDF rows computed at once, by a table's build and by
+# its on-demand rows: 32 KB of float64.  With 128 KB chunks, predict-wide's
+# peak RSS read 0.35 MB higher at an equal traced peak.
 _CHUNK_CELLS = 1 << 12
-_FULL_CHUNK_CELLS = 1 << 16
 
 
 def _log_pmf_terms(eta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,18 +259,25 @@ def _guide(cdf: np.ndarray, G: int, kind) -> np.ndarray:
     return np.cumsum(starts[:, :G], axis=1, dtype=kind)
 
 
-def _band(eta: np.ndarray, n: int, mass: float, terms) -> tuple[np.ndarray, ...]:
-    """(first row, rows, columns) of each category's stored block; all n + 1 of each at mass 0.
+def _band(eta: np.ndarray, n: int, mass: float, terms=None) -> tuple[np.ndarray, ...]:
+    """(first row, rows, columns) of each category's stored block.
 
-    Category c's rows are r = n - s for the central 1 - mass of
+    c = 0 has row r = n only.  At mass 0 each later c has every reachable
+    row, r = 0..n, and each c every column, k = 0..n.  Otherwise category
+    c's rows are r = n - s for the central 1 - mass of
     s ~ BetaBinomial(n, sum_{j<c} eta_j, sum_{j>=c} eta_j), mass / 2 left
-    out on each side (c = 0 has r = n only).  Its columns reach the
+    out on each side.  Its columns reach the
     (1 - mass) quantile of its highest row, whose law is stochastically
-    the largest, so every stored row's F reaches 1 - mass there.
+    the largest, so every stored row's F reaches 1 - mass there; its
+    ``_log_pmf_terms`` are computed here unless given.
     """
     U, w = eta.shape[0] - 1, n + 1
     if mass == 0.0:
-        return np.zeros(U, dtype=np.intp), np.full(U, w), np.full(U, w)
+        rows = np.full(U, w)
+        rows[:1] = 1
+        return w - rows, rows, np.full(U, w)
+    if terms is None:
+        terms = _log_pmf_terms(eta, n)
     before = np.cumsum(eta)[:-2]
     log_factorial = _log_rising(np.ones(1), n)
     # log pmf(s) is log (a)_s - log s! + log (b)_{n-s} - log (n-s)! with a = sum_{j<c} eta_j

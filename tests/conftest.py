@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, settings
 from scipy.special import gammaln
 
 import mnpred as mp
+from mnpred import bootstrap
+from mnpred.dm import InversionTable
 
 settings.register_profile(
     "suite",
@@ -69,6 +72,33 @@ def appender(path):
             fh.write(line + "\n")
 
     return append
+
+
+@contextlib.contextmanager
+def forced_route(monkeypatch, route, mass=0.2):
+    """Make ``bootstrap.build_ensemble`` draw by ``route`` while the block runs; assert it did.
+
+    The band-mass ladder is cut to the route's one rung: mass 0 (every
+    reachable row and column) for ``table``, ``mass`` for ``band`` and
+    none for ``gamma``.  The cell budget is left as it is: at K=3, n=5,
+    C=3 (test_ensemble_law.py) a band's 48 log-pmf terms outgrow the
+    mass-0 table's 42 cells, so no budget admits a band there and refuses
+    mass 0.  The masses of the tables built are recorded and checked when
+    the block ends: all 0 for ``table``, all ``mass`` for ``band``, none
+    for ``gamma``.
+    """
+    built = []
+
+    class Recorded(InversionTable):
+        def __init__(self, n, pi, phi, mass=0.0):
+            built.append(mass)
+            super().__init__(n, pi, phi, mass)
+
+    rungs = {"table": (0.0,), "band": (mass,), "gamma": ()}[route]
+    monkeypatch.setattr(bootstrap, "_BAND_MASSES", rungs)
+    monkeypatch.setattr(bootstrap, "InversionTable", Recorded)
+    yield
+    assert set(built) == set(rungs), (route, built)
 
 
 def mc_equicoordinate_quantile(corr, alpha, rng, n_draws):

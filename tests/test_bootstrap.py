@@ -25,7 +25,7 @@ from mnpred.empirical import max_abs_quantile, nearest_rank_quantile
 from mnpred.errors import DegenerateRankWarning, ValidationError
 from mnpred.model import clamp_dispersion, pearson_dispersion
 
-from conftest import appender, assert_no_child_left
+from conftest import appender, assert_no_child_left, forced_route
 
 
 @pytest.fixture(scope="module")
@@ -142,13 +142,12 @@ class TestBuildEnsemble:
         The refit equals a whole-table one.  The severity table takes blocks
         of 500 replicates (B=1234: 500, 500 and 234); a K=40, C=20 table
         takes 65536 // 800 = 81 (B=250: three blocks of 81 and one of 7).
-        Both draw by inversion: their tables hold 4 x 47^2 = 8836 and
-        19 x (31^2 + 47^2) = 60230 cells.  Clusters of 30 and 200 units at
-        C=4 take blocks of 65536 // 160 = 409 (B=1000: 409, 409 and 182).
-        Their full tables hold 3 x (31^2 + 201^2 + 47^2) = 130713 cells:
-        with _TABLE_CELLS one lower and a coarse band mass, that ensemble
-        draws from narrow bands and their exact fallbacks, and gives the
-        full tables' bytes; with no table budget at all it draws gammas and
+        Both draw by inversion from mass-0 tables of 47 + 3 x 47^2 = 6674
+        and 31 + 18 x 31^2 + 47 + 18 x 47^2 = 57138 cells.  Clusters of 30
+        and 200 units at C=4 take blocks of 65536 // 160 = 409 (B=1000:
+        409, 409 and 182).  Forced onto narrow bands, that ensemble draws
+        from them and their exact fallbacks, and gives the mass-0 tables'
+        bytes; forced onto the gamma route it draws gammas and
         multinomials.
         """
         wide = mp.generate_dataset(
@@ -159,18 +158,15 @@ class TestBuildEnsemble:
             40, sizes, (0.1, 0.2, 0.3, 0.4), 3.0, mp.RngStream(37).child(1), repair=True
         )
         cases = (
-            (histo_data, histo_fit, 1234, 500, True, None),
-            (wide, mp.fit_model(wide), 250, 81, True, None),
-            (big, mp.fit_model(big), 1000, 409, True, 130712),
-            (big, mp.fit_model(big), 1000, 409, False, 0),
+            (histo_data, histo_fit, 1234, 500, True, "table"),
+            (wide, mp.fit_model(wide), 250, 81, True, "table"),
+            (big, mp.fit_model(big), 1000, 409, True, "band"),
+            (big, mp.fit_model(big), 1000, 409, False, "gamma"),
         )
         spec, m = mp.FutureSpec(m=46), 46
-        for data, fit, B, block, inversion, table_cells in cases:
+        for data, fit, B, block, inversion, route in cases:
             assert -(-B // block) >= 3 and B % block  # a short last block
-            with monkeypatch.context() as patch:
-                if table_cells is not None:
-                    patch.setattr("mnpred.bootstrap._TABLE_CELLS", table_cells)
-                    patch.setattr("mnpred.bootstrap._BAND_MASSES", (0.0, 0.2))
+            with monkeypatch.context() as patch, forced_route(patch, route):
                 ens = build_ensemble(fit, data, spec, B, mp.RngStream(34))
             y_hat_star, sep_star, y_star = block_reference(
                 data, fit, m, B, block, 34, inversion
@@ -182,18 +178,17 @@ class TestBuildEnsemble:
 class TestParallelBlocks:
     """The blocks run on one worker process per usable core on either route; the bytes never depend on it.
 
-    Most tests force the gamma route with no table budget, and a block
-    rule one cell below the severity table's 4 x 47^2 = 8836 table cells,
-    which gives blocks of min(500, 8835 // 50) = 176 replicates.
+    Most tests force the gamma route and a block rule of 8835 cells,
+    which gives the severity table (K x C = 50) blocks of
+    min(500, 8835 // 50) = 176 replicates.
     """
 
     @pytest.fixture
-    def block(self, monkeypatch, histo_data):
-        """Force the gamma route on the severity table; return its block size."""
-        K, C = histo_data.counts.shape
-        monkeypatch.setattr("mnpred.bootstrap._TABLE_CELLS", 0)
-        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
-        return min(500, (InversionTable.cells(46, C) - 1) // (K * C))
+    def block(self, monkeypatch):
+        """Force the gamma route on the severity table; yield its block size."""
+        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", 8835)
+        with forced_route(monkeypatch, "gamma"):
+            yield 8835 // 50
 
     @staticmethod
     def z_bytes(monkeypatch, histo_data, histo_fit, B, worker_counts=(1, 2, 3)):
@@ -449,8 +444,8 @@ class TestTableBudget:
     """The ensemble's inversion tables hold at most _TABLE_CELLS cells and reach the largest cells.
 
     The catalog's largest cells (C10 vectors, K=100 clusters of n=500,
-    futures of 500) have full tables of 9 x 501^2 = 2259009 cells; their
-    bands fit the budget at every dispersion of the catalog.
+    futures of 500) have mass-0 tables of 501 + 8 x 501^2 = 2008509 cells;
+    their bands fit the budget at every dispersion of the catalog.
     """
 
     @pytest.mark.parametrize("phi", [1.01, 5.0, 8.0])
@@ -464,13 +459,24 @@ class TestTableBudget:
             held = {id(t): t for t in (*tables.values(), future)}.values()
             assert sum(t.n_cells for t in held) <= mnpred.bootstrap._TABLE_CELLS
 
+    def test_tables_whose_terms_do_not_fit_draw_gammas(self, monkeypatch):
+        """C=2 at n=50000 is one row of 50001 cells, but its log-pmf terms pass the budget.
+
+        They hold about 4 x 50001 floats, so the ensemble draws gammas and
+        multinomials, as it did when the smallest table was a band.
+        """
+        data = mp.generate_dataset(3, 50_000, (0.3, 0.7), 3.0, mp.RngStream(48), repair=True)
+        fit = mp.fit_model(data)
+        assert InversionTable.band_cells(50_000, fit.pi_hat, fit.phi_hat, 0.0) == 50_001
+        assert tables_used(monkeypatch, fit, data, 50_000, 2) == (None, None)
+
     def test_tables_add_only_their_own_bytes(self, monkeypatch):
         """At predict-wide's shape the traced peak passes the gamma route's by at most the tables.
 
-        Two blocks of 65 replicates, one worker; with no table budget the
-        ensemble takes the gamma route, as it did before bands.  Each route
-        runs once first, so that numpy's caches of small blocks are warm
-        on both.
+        Two blocks of 65 replicates, one worker; the gamma route is the one
+        the ensemble took before bands, and the band is the budget's own
+        at mass 1e-3.  Each route runs once first, so that numpy's caches
+        of small blocks are warm on both.
         """
         data = mp.generate_dataset(
             100, 500, mp.catalog_vectors()["C10-06"], 8.0, mp.RngStream(47).child(0), repair=True
@@ -480,16 +486,17 @@ class TestTableBudget:
         peaks = []
         tracemalloc.start()
         try:
-            for cells in 2 * (0, mnpred.bootstrap._TABLE_CELLS):
-                monkeypatch.setattr(mnpred.bootstrap, "_TABLE_CELLS", cells)
-                tracemalloc.reset_peak()
-                build_ensemble(fit, data, mp.FutureSpec(m=500), 130, mp.RngStream(47).child(1))
-                peaks.append(tracemalloc.get_traced_memory()[1])
+            for route in 2 * ("gamma", "band"):
+                with monkeypatch.context() as patch, forced_route(patch, route, mass=1e-3):
+                    tracemalloc.reset_peak()
+                    build_ensemble(fit, data, mp.FutureSpec(m=500), 130, mp.RngStream(47).child(1))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         peaks = peaks[2:]
         tables, future = tables_used(monkeypatch, fit, data, 500, 2)
-        assert future is tables[500] and future.n_cells < InversionTable.cells(500, 10) // 10
+        assert future is tables[500]
+        assert future.n_cells < InversionTable.band_cells(500, fit.pi_hat, fit.phi_hat, 0.0) // 10
         assert peaks[1] <= peaks[0] + table_bytes([future])
 
 
@@ -505,10 +512,12 @@ class TestCategoryMajor:
     def test_ensemble_is_fortran_contiguous(
         self, monkeypatch, histo_data, histo_fit, block_cells
     ):
+        route = "table"
         if block_cells is not None:
-            monkeypatch.setattr("mnpred.bootstrap._TABLE_CELLS", 0)
             monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", block_cells)
-        z = build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(3)).z
+            route = "gamma"
+        with forced_route(monkeypatch, route):
+            z = build_ensemble(histo_fit, histo_data, mp.FutureSpec(m=46), 1234, mp.RngStream(3)).z
         assert z.flags.f_contiguous and z.shape == (1234, 5)
 
     @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ from mnpred.bayes import dm_log_pmf
 from mnpred.dm import (
     _MAX_REDRAWS,
     InversionTable,
+    _cdf_rows,
     _checked_probs,
+    _log_pmf_terms,
     derive_eta0,
     draw_dm_counts,
     repair_zero_columns_in_place,
@@ -243,14 +245,68 @@ class TestInversionTable:
         ids=["severity", "clamped", "unit-future"],
     )
     def test_conditional_cdfs_match_lgamma(self, n, phi, concentration):
+        """Row r of category c is F(k | r); the first category has only r = n."""
         table = InversionTable(n, self.SEVERITY, phi)
         eta = concentration * self.SEVERITY
-        assert table.cdf.shape == (4, n + 1, n + 1) and table.n_uniforms == 4
+        assert table.n_uniforms == 4
         for c in range(4):
-            for r in sorted({0, 1, n // 2, n}):
+            for r in sorted({0, 1, n // 2, n}) if c else [n]:
                 want = beta_binomial_cdf(r, eta[c], eta[c + 1 :].sum())
-                np.testing.assert_allclose(table.cdf[c, r, : r + 1], want, rtol=0, atol=1e-12)
-                assert np.all(table.cdf[c, r, r:] == 1.0)
+                stored = table.cdf[c][r - table.lo[c]]
+                np.testing.assert_allclose(stored[: r + 1], want, rtol=0, atol=1e-12)
+                assert np.all(stored[r:] == 1.0)
+
+    @pytest.mark.parametrize("mass", [0.0, 1e-3, 0.2])
+    @pytest.mark.parametrize(
+        "n, pi, phi",
+        [(46, SEVERITY, 3.19), (60, (0.2, 0.0, 0.5, 0.3), 1.01), (1, SEVERITY, 1.01)],
+        ids=["severity", "structural-zero", "unit"],
+    )
+    def test_first_category_stores_row_n_alone(self, n, pi, phi, mass):
+        """No units are used before the first category, so r = n is its one reachable row."""
+        table = InversionTable(n, pi, phi, mass)
+        assert table.lo[0] == n
+        assert table.cdf[0].shape[0] == table.guide[0].shape[0] == 1
+
+    @pytest.mark.parametrize(
+        "n, pi, phi, cells",
+        [
+            (46, SEVERITY, 3.19, 6674),
+            (60, (0.2, 0.0, 0.5, 0.3), 1.01, 61 + 61**2),
+            (1, SEVERITY, 1.01, 2 + 3 * 2**2),
+            (9, (0.3, 0.7), 2.0, 10),
+        ],
+        ids=["severity", "structural-zero", "unit", "two-categories"],
+    )
+    def test_mass_0_stores_every_reachable_row_and_column(self, n, pi, phi, cells):
+        """(n + 1) + (C' - 2)(n + 1)^2 cells for C' positive categories, drawn over whole rows.
+
+        Each block equals its category's rows r = 0..n (r = n alone for the
+        first) as ``_cdf_rows`` computes them over all columns, bit for bit,
+        and each count is #{k : F(k | r) <= u} over those whole rows.
+        """
+        table = InversionTable(n, pi, phi)
+        assert table.n_cells == cells == InversionTable.band_cells(n, pi, phi, 0.0)
+        pi = np.asarray(pi)
+        eta = pi[pi > 0.0] * (1.0 if n == 1 else derive_eta0(n, phi))
+        terms = _log_pmf_terms(eta, n)
+        whole = [_cdf_rows(terms, c, np.arange(n + 1), n + 1) for c in range(table.n_uniforms)]
+        assert [cdf.shape for cdf in table.cdf] == [(1, n + 1)] + [(n + 1, n + 1)] * (len(whole) - 1)
+        for c, rows in enumerate(whole):
+            assert table.cdf[c].tobytes() == rows[table.lo[c] :].tobytes()
+        stored = np.concatenate([cdf.ravel() for cdf in table.cdf])
+        edges = np.concatenate([stored, np.nextafter(stored, 0.0), [np.nextafter(1.0, 0.0)]])
+        edges = np.concatenate([edges[edges < 1.0], mp.RngStream(35).generator().random(5000)])
+        u = np.tile(edges, (table.n_uniforms, 1))
+        for c in range(table.n_uniforms):
+            mp.RngStream(36).child(c).generator().shuffle(u[c])
+        got = table.draw(u)
+        left = np.full(u.shape[1], n)
+        for c, rows in enumerate(whole):
+            want = np.count_nonzero(rows[left] <= u[c][:, None], axis=1)
+            np.testing.assert_array_equal(got[:, table.positive[c]], want)
+            left -= want
+        np.testing.assert_array_equal(got[:, table.positive[-1]], left)
 
     @pytest.mark.parametrize("n, phi", [(46, 3.19), (40, 39.0), (7, 1.01), (1, 1.01)])
     def test_draws_invert_the_conditional_cdfs(self, n, phi):
@@ -260,10 +316,9 @@ class TestInversionTable:
         and the largest double below 1.
         """
         table = InversionTable(n, self.SEVERITY, phi)
-        G = table.guide_size
         edges = np.concatenate([
-            np.arange(G) / G,
-            table.cdf[table.cdf < 1.0],
+            *(np.arange(guide.shape[1]) / guide.shape[1] for guide in table.guide),
+            *(cdf[cdf < 1.0] for cdf in table.cdf),
             [np.nextafter(1.0, 0.0)],
             mp.RngStream(30).generator().random(20_000),
         ])
@@ -273,7 +328,8 @@ class TestInversionTable:
         got = table.draw(u)
         left = np.full(u.shape[1], n)
         for c in range(table.n_uniforms):
-            want = np.count_nonzero(table.cdf[c, left] <= u[c][:, None], axis=1)
+            rows = table.cdf[c][left - table.lo[c]]
+            want = np.count_nonzero(rows <= u[c][:, None], axis=1)
             np.testing.assert_array_equal(got[:, c], want)
             left -= want
         np.testing.assert_array_equal(got[:, -1], left)
@@ -319,7 +375,7 @@ C10_06 = np.array((0.025, 0.025, 0.025, 0.025, 0.05, 0.05, 0.05, 0.05, 0.10, 0.6
 
 
 class TestBandedTable:
-    """A band stores part of each category's rows and columns and draws the full table's clusters."""
+    """A band stores part of each category's rows and columns and draws the mass-0 table's clusters."""
 
     @staticmethod
     def band_cases(full, band, u):
@@ -354,7 +410,7 @@ class TestBandedTable:
         the band, u at or past its row's last stored F) must occur.
         """
         full, band = InversionTable(n, pi, phi), InversionTable(n, pi, phi, mass)
-        assert band.n_cells < InversionTable.cells(n, full.n_uniforms + 1)
+        assert band.n_cells < full.n_cells
         stored = np.concatenate([cdf.ravel() for cdf in band.cdf])
         edges = np.concatenate([stored, np.nextafter(stored, 0.0), [np.nextafter(1.0, 0.0)]])
         edges = np.concatenate([edges[edges < 1.0], mp.RngStream(41).generator().random(40_000)])
@@ -388,7 +444,7 @@ class TestBandedTable:
         data = mp.generate_dataset(100, 500, C10_06, 8.0, mp.RngStream(44).child(0), repair=True)
         fit = mp.fit_model(data)
         band = InversionTable(500, fit.pi_hat, fit.phi_hat, 1e-3)
-        assert band.n_cells < InversionTable.cells(500, 10) // 10
+        assert band.n_cells < InversionTable.band_cells(500, fit.pi_hat, fit.phi_hat, 0.0) // 10
         N = 100_000
         draws = band.draw(mp.RngStream(44).child(1).generator().random((band.n_uniforms, N)))
         eta = derive_eta0(500, fit.phi_hat) * fit.pi_hat

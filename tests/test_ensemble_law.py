@@ -24,9 +24,9 @@ import pytest
 import mnpred as mp
 from mnpred import bootstrap
 from mnpred.bayes import dm_log_pmf
-from mnpred.dm import derive_eta0, draw_dm_counts, sample_dm_matrix
+from mnpred.dm import derive_eta0
 
-from conftest import dm_box_probability
+from conftest import dm_box_probability, forced_route
 
 TABLE = np.array([[3, 1, 1], [2, 2, 1], [4, 0, 1]])
 M = 5
@@ -132,35 +132,17 @@ def test_exact_law_size_and_quantile(exact_law):
     assert round(float(support[np.searchsorted(cdf, 0.95)]), 4) == 2.6452
 
 
-def gamma_route(monkeypatch):
-    """Every cluster drawn from Dirichlet gammas and a multinomial, whatever tables fit."""
-
-    def sample(*args, tables=None, **kwargs):
-        return sample_dm_matrix(*args, **kwargs)
-
-    def draw(*args, table=None, **kwargs):
-        return draw_dm_counts(*args, **kwargs)
-
-    monkeypatch.setattr(bootstrap, "sample_dm_matrix", sample)
-    monkeypatch.setattr(bootstrap, "draw_dm_counts", draw)
-
-
-def band_route(monkeypatch):
-    """Narrow bands: the full table's 2 x 6^2 = 72 cells do not fit, a band at mass 0.2 does."""
-    monkeypatch.setattr(bootstrap, "_TABLE_CELLS", 71)
-    monkeypatch.setattr(bootstrap, "_BAND_MASSES", (0.0, 0.2))
-
-
-ROUTES = {"table": lambda monkeypatch: None, "gamma": gamma_route, "band": band_route}
+# The route each case forces; the band leaves out a fifth of each law's mass.
+ROUTES = ("band", "gamma", "table")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("route", ROUTES)
 def test_ensemble_follows_its_exact_law(monkeypatch, fitted, exact_law, route, workers):
     data, fit = fitted
-    ROUTES[route](monkeypatch)
     monkeypatch.setattr("mnpred.pool._WORKERS", workers)
-    z = bootstrap.build_ensemble(fit, data, mp.FutureSpec(m=M), B, mp.RngStream(SEED)).z
+    with forced_route(monkeypatch, route):
+        z = bootstrap.build_ensemble(fit, data, mp.FutureSpec(m=M), B, mp.RngStream(SEED)).z
     exact_z, w = exact_law
     distances = {
         name: ks_at_support(stat(z), *exact_cdf(stat(exact_z), w))

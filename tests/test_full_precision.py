@@ -19,26 +19,26 @@ import mnpred as mp
 from mnpred import asymptotic, bayes, bootstrap
 from mnpred.empirical import rank_summary
 
+from conftest import forced_route
+
 SEVERITY_PI = (0.224, 0.466, 0.273, 0.031, 0.004)
 
-# name -> (K, cluster sizes, pi, phi, m, mnpred.bootstrap settings set for the shape)
+# name -> (K, cluster sizes, pi, phi, m, the ensemble's draw route (conftest.forced_route),
+#          mnpred.bootstrap settings set for the shape)
 SHAPES = {
     # the predict-severity table: every cluster table fits, so the clusters
     # are drawn by inversion
-    "severity-table": (10, 46, SEVERITY_PI, 3.19, 46, {}),
-    # the same table with no table budget and the block bound lowered, so
+    "severity-table": (10, 46, SEVERITY_PI, 3.19, 46, "table", {}),
+    # the same table on the gamma route with the block bound lowered, so
     # the ensemble draws gammas and multinomials in 100 blocks
-    "severity-gamma": (
-        10, 46, SEVERITY_PI, 3.19, 46, {"_TABLE_CELLS": 0, "_BLOCK_CELLS": 1 << 10}
+    "severity-gamma": (10, 46, SEVERITY_PI, 3.19, 46, "gamma", {"_BLOCK_CELLS": 1 << 10}),
+    # the same table drawn from a band that leaves out a fifth of each law's
+    # mass and from its exact fallbacks: the mass-0 table's bytes
+    "severity-band": (10, 46, SEVERITY_PI, 3.19, 46, "band", {}),
+    "unequal-sizes": (
+        12, np.where(np.arange(12) % 2, 40, 30), (0.4, 0.3, 0.2, 0.1), 4.0, 35, "table", {}
     ),
-    # the same table with a budget one cell below its full table, so the
-    # clusters come from a band that leaves out a fifth of each law's mass
-    # and from its exact fallbacks: the full table's bytes
-    "severity-band": (
-        10, 46, SEVERITY_PI, 3.19, 46, {"_TABLE_CELLS": 8835, "_BAND_MASSES": (0.0, 0.2)}
-    ),
-    "unequal-sizes": (12, np.where(np.arange(12) % 2, 40, 30), (0.4, 0.3, 0.2, 0.1), 4.0, 35, {}),
-    "ten-categories": (20, 30, tuple(np.linspace(1.0, 2.0, 10) / 15.0), 3.0, 30, {}),
+    "ten-categories": (20, 30, tuple(np.linspace(1.0, 2.0, 10) / 15.0), 3.0, 30, "table", {}),
 }
 
 PINS = {
@@ -92,7 +92,7 @@ def _update_interval(digest, ivs):
 
 def _shape_fit(name):
     """The shape's root stream, dataset, fit and future spec."""
-    K, sizes, pi, phi, m, _ = SHAPES[name]
+    K, sizes, pi, phi, m, *_ = SHAPES[name]
     root = mp.RngStream(2908)
     pi = np.asarray(pi) / np.sum(pi)
     data = mp.generate_dataset(K, sizes, pi, phi, root.child(0), repair=True)
@@ -100,11 +100,13 @@ def _shape_fit(name):
 
 
 def full_precision_digest(name, monkeypatch):
-    for setting, value in SHAPES[name][5].items():
+    *_, route, settings = SHAPES[name]
+    for setting, value in settings.items():
         monkeypatch.setattr(bootstrap, setting, value)
     root, data, fit, spec = _shape_fit(name)
     digest = hashlib.sha256()
-    ensemble = bootstrap.build_ensemble(fit, data, spec, 2000, root.child(1))
+    with forced_route(monkeypatch, route):
+        ensemble = bootstrap.build_ensemble(fit, data, spec, 2000, root.child(1))
     _update(digest, ensemble.z)
     _update_summary(digest, rank_summary(ensemble.z, spec.alpha))
     for calibrate in CALIBRATIONS:

@@ -13,7 +13,6 @@ import mnpred.bootstrap
 import mnpred.methods
 from mnpred.bayes import PriorChoice
 from mnpred.cli import main
-from mnpred.dm import InversionTable
 from mnpred.errors import ConvergenceWarning, InitializationError, ValidationError
 from mnpred.methods import (
     BAYES_CONSTRUCTIONS,
@@ -23,7 +22,7 @@ from mnpred.methods import (
     resolve_methods,
 )
 
-from conftest import appender, assert_no_child_left
+from conftest import appender, assert_no_child_left, forced_route
 
 BAYES_IDS = tuple(f"{mid}-{p}" for mid in BAYES_CONSTRUCTIONS for p in ("cauchy", "beta"))
 
@@ -245,7 +244,7 @@ class TestFamilyTasks:
         assert_no_child_left()
 
     def test_frequentist_only_forks_for_its_ensemble(
-        self, monkeypatch, tmp_path, counts_csv, forks, histo_data
+        self, monkeypatch, tmp_path, counts_csv, forks
     ):
         """One heavy family stays one task on the caller, so the ensemble's blocks fork instead.
 
@@ -254,9 +253,7 @@ class TestFamilyTasks:
         that worker processes would append to.  With the priors added the
         ensemble runs inline, and the one fork is the priors' worker.
         """
-        C = histo_data.counts.shape[1]
-        monkeypatch.setattr("mnpred.bootstrap._TABLE_CELLS", 0)
-        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", InversionTable.cells(46, C) - 1)
+        monkeypatch.setattr("mnpred.bootstrap._BLOCK_CELLS", 8835)
         monkeypatch.setattr("mnpred.pool._WORKERS", 2)
         log = tmp_path / "draws"
         record = appender(log)
@@ -270,7 +267,8 @@ class TestFamilyTasks:
         for methods in (",".join(FREQUENTIST_METHODS), "all"):
             log.write_text("")
             forks.clear()
-            predict_bytes(counts_csv, tmp_path, methods)
+            with forced_route(monkeypatch, "gamma"):
+                predict_bytes(counts_csv, tmp_path, methods)
             assert len(forks) == 1
             assert_no_child_left()
             drawn_by = log.read_text().split()

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import sys
 import threading
@@ -20,13 +22,14 @@ from mnpred.catalog import (
     catalog_vectors,
     scenario_catalog,
 )
+from mnpred.bayes import dm_log_pmf
 from mnpred.dm import generate_dataset, sample_dm_matrix
 from mnpred.errors import FailureCapError, ValidationError
 from mnpred.io import SIMULATION_COLUMNS, RunConfig, rows_to_csv, simulation_rows
 from mnpred.methods import FREQUENTIST_METHODS
 from mnpred.simulation import Scenario, run_simulation, tail_balance
 
-from conftest import appender, assert_no_child_left
+from conftest import appender, assert_no_child_left, dm_box_probability
 
 
 def cheap_scenario(**kw):
@@ -160,6 +163,68 @@ def failing_scenario():
         pi_true=(0.02, 0.98), K=2, n=5, phi=1.5,
         n_iter=10, methods=("pointwise",), B=50, repair=False, seed=0,
     )
+
+
+# The harness oracle's shape: K=3 clusters of n=6 units in C=3 categories
+# and a future of m=6, so a table has 28^3 outcomes.
+ORACLE = dict(pi_true=(0.6, 0.25, 0.15), K=3, n=6, phi=2.0)
+
+
+def exact_deterministic_coverage(methods):
+    """Exact P(future in box) of each method whose box depends on the table alone.
+
+    ``methods`` maps each method's name to its interval function of the
+    fit and the future spec.
+    A sum over the 3-cluster tables' multisets (the fit and so the box do
+    not depend on the clusters' order), with each empty column's repair
+    unit given to each of the K clusters with probability 1/K, and over
+    the futures through ``dm_box_probability``.
+    """
+    K, n, phi = ORACLE["K"], ORACLE["n"], ORACLE["phi"]
+    pi = np.asarray(ORACLE["pi_true"])
+    eta = mp.derive_eta0(n, phi) * pi
+    heads = [h for h in itertools.product(range(n + 1), repeat=2) if sum(h) <= n]
+    outcomes = [(*h, n - sum(h)) for h in heads]
+    p = np.exp([dm_log_pmf(np.array(x), n, eta) for x in outcomes])
+    spec = mp.FutureSpec(m=n)
+    coverage = dict.fromkeys(methods, 0.0)
+    for idx in itertools.combinations_with_replacement(range(len(outcomes)), K):
+        orders = math.factorial(K) / math.prod(
+            math.factorial(idx.count(i)) for i in set(idx)
+        )
+        table = np.array([outcomes[i] for i in idx])
+        empty = np.flatnonzero(table.sum(axis=0) == 0)
+        weight = orders * np.prod(p[list(idx)]) / K ** empty.shape[0]
+        for chosen in itertools.product(range(K), repeat=empty.shape[0]):
+            repaired = table.copy()
+            repaired[list(chosen), empty] += 1
+            fit = mp.fit_model(mp.HistoricalDataset(repaired))
+            for method in methods:
+                box = methods[method](fit, spec)
+                coverage[method] += weight * dm_box_probability(box.lower, box.upper, n, eta)
+    return coverage
+
+
+def test_coverage_matches_the_exact_harness_law():
+    """run_simulation's coverage of pointwise and Bonferroni against its exact value.
+
+    The exact coverage (0.77746 and 0.84155) is a finite sum; the Monte
+    Carlo coverage of 8000 iterations at seed 9, both fixed before the
+    run, must lie within 4 binomial standard errors of it.
+    """
+    methods = ("pointwise", "bonferroni")
+    exact = exact_deterministic_coverage(
+        {"pointwise": mp.pointwise_interval, "bonferroni": mp.bonferroni_interval}
+    )
+    assert round(exact["pointwise"], 5) == 0.77746
+    assert round(exact["bonferroni"], 5) == 0.84155
+    n_iter = 8000
+    report = run_simulation(Scenario(**ORACLE, n_iter=n_iter, methods=methods, seed=9))
+    assert report.n_failed == 0
+    for method in methods:
+        p = exact[method]
+        bar = 4.0 * math.sqrt(p * (1.0 - p) / n_iter)
+        assert abs(report.outcomes[method].coverage - p) < bar, (method, p)
 
 
 class TestParallelIterations:
