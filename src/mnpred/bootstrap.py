@@ -64,15 +64,24 @@ __all__ = [
 _BLOCK_CELLS = 1 << 16
 
 # The ensemble's inversion tables hold at most _TABLE_CELLS conditional-CDF
-# cells (1.5 MB of float64, and int16 guides of at most about half that).  The
-# first band mass in _BAND_MASSES whose tables fit is used: 0 stores every
-# reachable row and column, (n + 1) + (C - 2)(n + 1)^2 cells per size, and a
-# larger mass leaves each category's rows and columns out to that mass
-# (dm.InversionTable); the draws are the same, bit for bit.  Past 1e-2 the
-# band's exact fallbacks would cost more than they save, so an ensemble whose
-# tables fit at no mass draws gammas and multinomials.
-_TABLE_CELLS = 3 << 16
-_BAND_MASSES = (0.0, 1e-3, 1e-2)
+# cells (2 MB of float64, plus a sentinel column per row and int16 guides of
+# fewer bytes than the cells).  The first band mass in _BAND_MASSES whose
+# tables fit is used: 0 stores every reachable row and column,
+# (n + 1) + (C - 2)(n + 1)^2 cells per size, and a larger mass leaves each
+# category's rows and columns out to that mass (dm.InversionTable); the draws
+# are the same, bit for bit.  The rungs are a decade apart, so an ensemble
+# takes the narrowest band that fits, and its fallback rows stay few:
+# predict-wide's fit holds 198,953 cells at 1e-5, whose fallbacks compute
+# about 90 rows per ensemble.  Past 1e-2 the band's exact fallbacks would
+# cost more than they save, so an ensemble whose tables fit at no mass draws
+# gammas and multinomials.
+_TABLE_CELLS = 1 << 18
+_BAND_MASSES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
+
+# The refit's Pearson statistics run over chunks of at most _REFIT_CELLS
+# replicate cells (128 KB of float64 per temporary), so a block's refit
+# reuses the same small buffers rather than mapping fresh pages.
+_REFIT_CELLS = 1 << 14
 
 # The rank summary (empirical.rank_summary) needs at least two ensemble rows.
 MIN_REPLICATES = 2
@@ -117,6 +126,10 @@ def build_ensemble(
     first mass of _BAND_MASSES that fits; their draws are the same either
     way.  Ensembles whose bands do not fit either (many distinct large
     cluster sizes, say) draw Dirichlet gammas and multinomials instead.
+    A block reads its uniforms one category row at a time and runs its
+    refit's Pearson statistics over chunks of at most _REFIT_CELLS cells
+    (``_raw_dispersion``), so its temporaries stay a fraction of its
+    counts and are reused from block to block rather than mapped afresh.
 
     z is held category-major (Fortran order), so each category's B
     residuals are contiguous for the calibrations' partitions and sorts.
@@ -166,8 +179,7 @@ def build_ensemble(
         np.add.at(n_star, added, 1)
         N_star = n_star.sum(axis=1)
         pi_star = totals / N_star[:, None]
-        phi_raw = pearson_dispersion(counts, pi_star, n_star)[2]
-        phi_star = clamp_dispersion(phi_raw, n_star.min(axis=1))
+        phi_star = clamp_dispersion(_raw_dispersion(counts, pi_star, n_star), n_star.min(axis=1))
         del counts  # freed before the future clusters are drawn
         sep = prediction_se(pi_star, phi_star[:, None], m, N_star[:, None])
         y = draw_dm_counts(m, fit.pi_hat, phi_future, gen, size=size, table=future)
@@ -181,6 +193,21 @@ def build_ensemble(
 
     run_in_order(fill, -(-B // block), merge)
     return BootstrapEnsemble(z=z)
+
+
+def _raw_dispersion(counts: np.ndarray, pi_star: np.ndarray, n_star: np.ndarray) -> np.ndarray:
+    """``pearson_dispersion``'s raw dispersion of each replicate of a (B, K, C) batch.
+
+    The replicates run in chunks of at most _REFIT_CELLS cells.  Each
+    replicate's sums run over its own C-order (K, C) slab, so the chunks
+    move no value.
+    """
+    chunk = max(1, _REFIT_CELLS // (counts.shape[1] * counts.shape[2]))
+    phi_raw = np.empty(counts.shape[0])
+    for i in range(0, counts.shape[0], chunk):
+        part = slice(i, i + chunk)
+        phi_raw[part] = pearson_dispersion(counts[part], pi_star[part], n_star[part])[2]
+    return phi_raw
 
 
 def asymmetric_multipliers(z: np.ndarray, alpha: float) -> tuple[float, float]:

@@ -95,13 +95,13 @@ class InversionTable:
     x_c ~ BetaBinomial(r, eta_c, sum_{j>c} eta_j); the last positive
     category takes what is left.  The table holds those conditional CDFs
     and a guide table of G buckets per row (Chen & Asau's indexed search;
-    each category's G is the first power of two at or above its rows'
-    stored width, so u * G and F(k) * G are exact): a uniform u in bucket
-    floor(u G) starts at the smallest k whose F(k) exceeds the bucket's
-    lower edge and steps up while F(k) <= u.  A cluster then costs one
-    uniform per positive category but the last.  Like ``draw_dm_counts``, a single unit
-    (n = 1) takes eta = pi, since its law does not depend on the
-    concentration.
+    each category's G is twice the first power of two at or above its
+    rows' stored width, so u * G and F(k) * G are exact): a uniform u in
+    bucket floor(u G) starts at the smallest k whose F(k) exceeds the
+    bucket's lower edge and steps up while F(k) <= u.  A cluster then costs
+    one uniform per positive category but the last.  Like
+    ``draw_dm_counts``, a single unit (n = 1) takes eta = pi, since its law
+    does not depend on the concentration.
 
     ``cdf[c]`` and ``guide[c]`` are the c-th positive category's block:
     row r - lo[c] holds F(k | r) over the stored columns k, and its G
@@ -111,11 +111,14 @@ class InversionTable:
     used before it; F is 1.0 from k = r on).  At ``mass`` > 0 each keeps
     only the rows that the units left before it fall in with probability
     at least 1 - mass, and the columns up to where each of those rows' F
-    reaches 1 - mass (``_band``).  A uniform whose row lies outside such a
-    band, or that is at least its row's last stored F, is inverted from
-    that row computed on demand in the same operations as the build, so
-    every mass draws the same clusters, bit for bit.  The table is only
-    read after it is built, so every block of an ensemble shares it.
+    reaches 1 - mass (``_band``).  Each ``cdf[c]`` is a view of a block
+    with one more column, a sentinel 2.0 that no uniform reaches, so the
+    search stops at k = width when u is at least the row's last stored F.
+    Such a uniform, and one whose row lies outside the band (it reads row
+    0 meanwhile), is inverted from that row computed on demand in the same
+    operations as the build, so every mass draws the same clusters, bit
+    for bit.  The table is only read after it is built, so every block of
+    an ensemble shares it.
     """
 
     def __init__(self, n, pi, phi: float, mass: float = 0.0) -> None:
@@ -130,15 +133,21 @@ class InversionTable:
         self._terms = _log_pmf_terms(eta, n)
         self.lo, rows, width = _band(eta, n, mass, self._terms)
         self.n_cells = int(rows @ width)
-        # Each category's G is the first power of two at or above its width.
-        G = [1 << (int(k) - 1).bit_length() for k in width]
+        # Each category's G is twice the first power of two at or above its width.
+        G = [2 << (int(k) - 1).bit_length() for k in width]
         # k <= n, so a guide entry fits in 16 bits below 32768 units.
         kind = np.int16 if n < 1 << 15 else np.int32
-        self.cdf = [np.empty((r, k)) for r, k in zip(rows, width)]
+        self._padded = [np.full((r, k + 1), 2.0) for r, k in zip(rows, width)]
+        self.cdf = [block[:, :-1] for block in self._padded]
         self.guide = [np.empty((r, g), dtype=kind) for r, g in zip(rows, G)]
+        # Each left-over r's row in its block, row 0 for an r outside it, which is flagged.
+        self._row = [np.zeros(n + 1, dtype=np.intp) for _ in range(self.n_uniforms)]
+        self._outside = [np.ones(n + 1, dtype=bool) for _ in range(self.n_uniforms)]
         # Rows a chunk at a time, so the build's temporaries stay near the chunk's cells.
         step = max(1, _CHUNK_CELLS // (n + 1))
         for c in range(self.n_uniforms):
+            self._row[c][self.lo[c] : self.lo[c] + rows[c]] = np.arange(rows[c])
+            self._outside[c][self.lo[c] : self.lo[c] + rows[c]] = False
             for i in range(0, rows[c], step):
                 r = self.lo[c] + np.arange(i, min(rows[c], i + step))
                 cdf = _cdf_rows(self._terms, c, r, max(width[c], int(r[-1]) + 1))[:, : width[c]]
@@ -153,33 +162,24 @@ class InversionTable:
         _, rows, width = _band(eta, n, mass)
         return int(rows @ width)
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """int64 clusters (N, C) for uniforms u in [0, 1) of shape (n_uniforms, N).
+    def draw(self, u, size: int | None = None) -> np.ndarray:
+        """int64 clusters (size, C) for uniforms u in [0, 1), n_uniforms rows of size each.
 
-        The clusters are held category-major (Fortran order), so each
+        ``u`` is an (n_uniforms, size) array or, with ``size`` given, any
+        iterable of its rows, which are read one category at a time.  The
+        clusters are held category-major (Fortran order), so each
         category's counts are written, and later summed, contiguously.
         """
-        w = self.n + 1
-        out = np.zeros((self.n_categories, u.shape[1]), dtype=np.int64).T
-        left = np.full(u.shape[1], self.n, dtype=np.intp)
+        w, N = self.n + 1, u.shape[1] if size is None else int(size)
+        out = np.zeros((self.n_categories, N), dtype=np.int64).T
+        left = np.full(N, self.n, dtype=np.intp)
         for c, uc in enumerate(u):
             (rows, width), G = self.cdf[c].shape, self.guide[c].shape[1]
-            cdf, guide = self.cdf[c].reshape(-1), self.guide[c].reshape(-1)
-            row, redo = left - self.lo[c], None
-            # A block with every reachable row (r = n alone for the first
-            # category) and column needs no fallback.
-            if width < w or (c and rows < w):
-                # Rows outside the band (negative ones wrap to large unsigned)
-                # and u past a row's last stored F are inverted afterwards;
-                # meanwhile they read row 0 at u = 0, which stays inside it.
-                outside = row.astype(np.uintp) >= rows
-                row[outside] = 0
-                redo = np.flatnonzero(outside | (uc >= self.cdf[c][row, width - 1]))
-                if redo.shape[0]:
-                    uc = uc.copy()
-                    uc[redo] = 0.0
+            cdf, guide = self._padded[c].reshape(-1), self.guide[c].reshape(-1)
+            row = self._row[c][left]
             k = guide[row * G + (uc * G).astype(np.intp)]
-            cell = row * width + k
+            cell = row * (width + 1) + k
+            # The sentinel stops every step at k = width.
             low = np.flatnonzero(cdf[cell] <= uc)
             if low.shape[0]:
                 k[low] += 1
@@ -188,8 +188,12 @@ class InversionTable:
             if low.shape[0]:
                 # The few still short (a tail's run of k in one bucket) count their row.
                 k[low] = np.count_nonzero(self.cdf[c][row[low]] <= uc[low, None], axis=1)
-            if redo is not None and redo.shape[0]:
-                k[redo] = self._invert(c, left[redo], u[c, redo])
+            # A block with every reachable row (r = n alone for the first
+            # category) and column needs no fallback.
+            if width < w or (c and rows < w):
+                redo = np.flatnonzero((k == width) | self._outside[c][left])
+                if redo.shape[0]:
+                    k[redo] = self._invert(c, left[redo], uc[redo])
             out[:, self.positive[c]] = k
             left -= k
         out[:, self.positive[-1]] = left
@@ -335,7 +339,9 @@ def draw_dm_counts(
     if n < 1:
         raise ValidationError(f"cluster size must be positive, got {n}")
     if table is not None:
-        counts = table.draw(gen.random((table.n_uniforms, 1 if size is None else int(size))))
+        # A row of uniforms per category, consumed as one (n_uniforms, N) draw would be.
+        N = 1 if size is None else int(size)
+        counts = table.draw((gen.random(N) for _ in range(table.n_uniforms)), N)
         return counts[0] if size is None else counts
     if n == 1:
         return gen.multinomial(1, pi, size=size)

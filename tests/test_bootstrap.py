@@ -18,6 +18,7 @@ from mnpred.bootstrap import (
 from mnpred.dm import (
     InversionTable,
     draw_dm_counts,
+    repair_zero_columns,
     repair_zero_columns_in_place,
     sample_dm_matrix,
 )
@@ -173,6 +174,40 @@ class TestBuildEnsemble:
             )
             z = (y_star - y_hat_star) / sep_star
             assert ens.z.dtype == z.dtype and ens.z.tobytes() == z.tobytes()
+
+
+class TestChunkedRefit:
+    """The refit's raw dispersion over replicate chunks equals one pearson_dispersion call, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "K, n, pi, B",
+        [
+            (100, 20, (0.0005, *[0.9995 / 9] * 9), 65),
+            (10, 10, (0.002, 0.2, 0.3, 0.2, 0.298), 500),
+        ],
+        ids=["KC-1000", "KC-50"],
+    )
+    def test_chunks_move_no_value(self, monkeypatch, K, n, pi, B):
+        """A repaired, category-major batch with unequal n_star; B is no multiple of the chunk."""
+        C = len(pi)
+        chunk = mnpred.bootstrap._REFIT_CELLS // (K * C)
+        assert B % chunk != 0
+        table = InversionTable(n, pi, 4.0)
+        gen = mp.RngStream(56).generator()
+        counts = sample_dm_matrix(np.full(K, n), pi, 4.0, gen, size=B, tables={n: table})
+        assert counts.transpose(2, 0, 1).flags.c_contiguous
+        totals = counts.sum(axis=1)
+        added = repair_zero_columns(counts, totals, gen)
+        assert added[0].shape[0] > 0
+        n_star = np.full((B, K), n)
+        np.add.at(n_star, added, 1)
+        pi_star = totals / n_star.sum(axis=1)[:, None]
+        want = pearson_dispersion(counts, pi_star, n_star)[2]
+        assert mnpred.bootstrap._raw_dispersion(counts, pi_star, n_star).tobytes() == want.tobytes()
+        for cells in (4 * K * C, 8 * K * C, 16 * K * C):
+            monkeypatch.setattr("mnpred.bootstrap._REFIT_CELLS", cells)
+            got = mnpred.bootstrap._raw_dispersion(counts, pi_star, n_star)
+            assert got.tobytes() == want.tobytes(), cells
 
 
 class TestParallelBlocks:
@@ -434,10 +469,20 @@ def tables_used(monkeypatch, fit, data, m, B):
 
 
 def table_bytes(tables):
-    """Bytes of the distinct tables' CDFs, guides and log-pmf terms."""
+    """Bytes of the distinct tables' padded CDF blocks, guides and log-pmf terms.
+
+    Each array is counted as allocated, once: a view counts the array it
+    views, so the sliding windows of the r - k term count their padded
+    row, not the (n + 1)^2 cells they show per category.
+    """
     held = {id(t): t for t in tables}.values()
-    arrays = [a for t in held for part in (t.cdf, t.guide, t._terms) for a in part]
-    return sum(a.nbytes for a in arrays)
+    owners = {}
+    for t in held:
+        for a in (*t._padded, *t.guide, *t._terms):
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a
+    return sum(a.nbytes for a in owners.values())
 
 
 class TestTableBudget:
@@ -450,25 +495,29 @@ class TestTableBudget:
 
     @pytest.mark.parametrize("phi", [1.01, 5.0, 8.0])
     def test_largest_catalog_cells_draw_by_inversion(self, monkeypatch, phi):
+        """Each fits at a rung of 1e-3 or less: its band holds at least the 1e-3 band's cells."""
         vectors = [v for key, v in mp.catalog_vectors().items() if key.startswith("C10-")]
         assert len(vectors) == 10
         for i, pi in enumerate(vectors):
             data = mp.generate_dataset(100, 500, pi, phi, mp.RngStream(46).child(i), repair=True)
-            tables, future = tables_used(monkeypatch, mp.fit_model(data), data, 500, 2)
+            fit = mp.fit_model(data)
+            tables, future = tables_used(monkeypatch, fit, data, 500, 2)
             assert tables is not None and future is not None
             held = {id(t): t for t in (*tables.values(), future)}.values()
             assert sum(t.n_cells for t in held) <= mnpred.bootstrap._TABLE_CELLS
+            assert future.n_cells >= InversionTable.band_cells(500, fit.pi_hat, fit.phi_hat, 1e-3)
 
     def test_tables_whose_terms_do_not_fit_draw_gammas(self, monkeypatch):
-        """C=2 at n=50000 is one row of 50001 cells, but its log-pmf terms pass the budget.
+        """C=2 at n=70000 is one row of 70001 cells, but its log-pmf terms pass the budget.
 
-        They hold about 4 x 50001 floats, so the ensemble draws gammas and
-        multinomials, as it did when the smallest table was a band.
+        They hold about 4 x 70001 = 280004 floats, more than the 2^18 cells
+        of the budget, so the ensemble draws gammas and multinomials, as it
+        did when the smallest table was a band.
         """
-        data = mp.generate_dataset(3, 50_000, (0.3, 0.7), 3.0, mp.RngStream(48), repair=True)
+        data = mp.generate_dataset(3, 70_000, (0.3, 0.7), 3.0, mp.RngStream(48), repair=True)
         fit = mp.fit_model(data)
-        assert InversionTable.band_cells(50_000, fit.pi_hat, fit.phi_hat, 0.0) == 50_001
-        assert tables_used(monkeypatch, fit, data, 50_000, 2) == (None, None)
+        assert InversionTable.band_cells(70_000, fit.pi_hat, fit.phi_hat, 0.0) == 70_001
+        assert tables_used(monkeypatch, fit, data, 70_000, 2) == (None, None)
 
     def test_tables_add_only_their_own_bytes(self, monkeypatch):
         """At predict-wide's shape the traced peak passes the gamma route's by at most the tables.
@@ -498,6 +547,34 @@ class TestTableBudget:
         assert future is tables[500]
         assert future.n_cells < InversionTable.band_cells(500, fit.pi_hat, fit.phi_hat, 0.0) // 10
         assert peaks[1] <= peaks[0] + table_bytes([future])
+
+    def test_blocks_hold_no_whole_block_temporaries(self, monkeypatch):
+        """At predict-wide's shape the traced peak less the tables stays under three count blocks.
+
+        Two blocks of 65 replicates (65 x 100 x 10 int64 counts, 520,000
+        bytes), one worker, on the budget's own route.  A block holds its
+        counts, one category's row of uniforms and search temporaries at a
+        time, and the refit's Pearson temporaries over chunks of at most
+        _REFIT_CELLS cells; a whole (n_uniforms, 6500) uniform array and
+        three block-sized Pearson temporaries pass the bound.  The second
+        of two runs is measured, so numpy's caches of small blocks are warm.
+        """
+        data = mp.generate_dataset(
+            100, 500, mp.catalog_vectors()["C10-06"], 8.0, mp.RngStream(47).child(0), repair=True
+        )
+        fit = mp.fit_model(data)
+        monkeypatch.setattr("mnpred.pool._WORKERS", 1)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                build_ensemble(fit, data, mp.FutureSpec(m=500), 130, mp.RngStream(47).child(1))
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables, future = tables_used(monkeypatch, fit, data, 500, 130)
+        assert future is tables[500]
+        assert peak - table_bytes([future]) < 3 * 65 * 100 * 10 * 8
 
 
 class TestCategoryMajor:

@@ -468,6 +468,123 @@ class TestBandedTable:
             assert stat < chi2.ppf(0.999, pooled_e.shape[0] - 1), (c, stat)
 
 
+class TestSentinelKernel:
+    """The band's search at its edges draws the mass-0 table's clusters, byte for byte.
+
+    Each stored row ends in a sentinel column of 2.0, so a uniform at or
+    past the row's last stored F stops at k = width; a row outside the
+    band reads row 0 and is flagged.  Both are inverted on demand.
+    """
+
+    SHAPES = [
+        (46, TestInversionTable.SEVERITY, 3.19, 0.2),
+        (60, (0.2, 0.0, 0.5, 0.3), 1.01, 0.3),
+        (120, np.full(6, 1.0 / 6.0), 8.0, 0.01),
+    ]
+    IDS = ["severity", "structural-zero", "six-categories"]
+
+    @staticmethod
+    def reaching(full, c, r, uc, rng):
+        """Uniforms that leave r units to category c and give it ``uc``.
+
+        The first category takes n - r (u at its F(n - r - 1)), the ones
+        between take none (u = 0) and the ones after c draw at random.
+        """
+        u = rng.random((full.n_uniforms, uc.shape[0]))
+        u[:c] = 0.0
+        if c and r < full.n:
+            u[0] = full.cdf[0][0, full.n - r - 1]
+        u[c] = uc
+        left = full.n - full.draw(u)[:, full.positive[:c]].sum(axis=1)
+        assert np.all(left == r), (c, r)
+        return u
+
+    @staticmethod
+    def below(values):
+        """The values under 1 and the double just below each."""
+        values = np.concatenate([values, np.nextafter(values, 0.0)])
+        return values[values < 1.0]
+
+    @pytest.mark.parametrize("n, pi, phi, mass", SHAPES, ids=IDS)
+    def test_u_at_and_just_below_each_rows_last_stored_f(self, n, pi, phi, mass):
+        full, band = InversionTable(n, pi, phi), InversionTable(n, pi, phi, mass)
+        rng = mp.RngStream(50).generator()
+        stops = 0
+        for c in range(band.n_uniforms):
+            for i, r in enumerate(range(band.lo[c], band.lo[c] + band.cdf[c].shape[0])):
+                uc = self.below(band.cdf[c][i, -1:])
+                u = self.reaching(full, c, r, uc, rng)
+                stops += np.count_nonzero(uc >= band.cdf[c][i, -1])
+                assert band.draw(u).tobytes() == full.draw(u).tobytes(), (c, r)
+        assert stops > 0
+
+    @pytest.mark.parametrize("n, pi, phi, mass", SHAPES, ids=IDS)
+    def test_rows_one_step_outside_the_band(self, n, pi, phi, mass):
+        """Every F of the row just below and just above each later category's band, and below each."""
+        full, band = InversionTable(n, pi, phi), InversionTable(n, pi, phi, mass)
+        rng = mp.RngStream(51).generator()
+        outside = 0
+        for c in range(1, band.n_uniforms):
+            for r in (band.lo[c] - 1, band.lo[c] + band.cdf[c].shape[0]):
+                if not 0 <= r <= n:
+                    continue
+                uc = np.concatenate([self.below(full.cdf[c][r - full.lo[c]]), rng.random(200)])
+                u = self.reaching(full, c, r, uc, rng)
+                outside += 1
+                assert band.draw(u).tobytes() == full.draw(u).tobytes(), (c, r)
+        assert outside > 0
+
+    @pytest.mark.parametrize("n, pi, phi, mass", SHAPES, ids=IDS)
+    def test_the_first_categorys_single_row(self, n, pi, phi, mass):
+        """Every F of row n in the band and in the mass-0 table, and the double below each."""
+        full, band = InversionTable(n, pi, phi), InversionTable(n, pi, phi, mass)
+        assert band.cdf[0].shape[1] < full.cdf[0].shape[1]
+        u0 = self.below(np.concatenate([band.cdf[0][0], full.cdf[0][0]]))
+        assert np.any(u0 >= band.cdf[0][0, -1])
+        u = mp.RngStream(52).generator().random((band.n_uniforms, u0.shape[0]))
+        u[0] = u0
+        assert band.draw(u).tobytes() == full.draw(u).tobytes()
+
+    @pytest.mark.parametrize("mass", [0.0, 0.2])
+    def test_one_positive_category_draws_no_uniform(self, mass):
+        """With no uniform rows the size comes from ``size``, and no uniform is consumed."""
+        table = InversionTable(9, (0.0, 1.0), 3.0, mass)
+        assert table.n_uniforms == 0
+        assert table.draw(iter(()), 3).tobytes() == InversionTable(9, (0.0, 1.0), 3.0).draw(
+            np.empty((0, 3))
+        ).tobytes()
+        gen = mp.RngStream(53).generator()
+        np.testing.assert_array_equal(draw_dm_counts(9, (0.0, 1.0), 3.0, gen, 3, table), [[0, 9]] * 3)
+        np.testing.assert_array_equal(draw_dm_counts(9, (0.0, 1.0), 3.0, gen, table=table), [0, 9])
+        assert gen.random() == mp.RngStream(53).generator().random()
+
+    @pytest.mark.parametrize("n, pi, phi, mass", SHAPES, ids=IDS)
+    def test_guides_have_twice_the_old_buckets(self, n, pi, phi, mass):
+        """G is twice the first power of two at or above the width; every bucket edge draws alike."""
+        full, band = InversionTable(n, pi, phi), InversionTable(n, pi, phi, mass)
+        edges = []
+        for cdf, guide in zip(band.cdf, band.guide):
+            width, G = cdf.shape[1], guide.shape[1]
+            assert G == 2 * (1 << (width - 1).bit_length())
+            edges.append(np.arange(G) / G)
+        u0 = self.below(np.concatenate(edges))
+        u = np.tile(u0, (band.n_uniforms, 1))
+        for c in range(band.n_uniforms):
+            mp.RngStream(54).child(c).generator().shuffle(u[c])
+        assert band.draw(u).tobytes() == full.draw(u).tobytes()
+
+    @pytest.mark.parametrize("mass", [0.0, 1e-3])
+    def test_draw_dm_counts_reads_rows_as_one_array(self, mass):
+        """A row of N uniforms per category consumes the stream as one (n_uniforms, N) array does."""
+        n, N = 200, 3001
+        table = InversionTable(n, C10_06, 5.0, mass)
+        gen, ref = mp.RngStream(55).generator(), mp.RngStream(55).generator()
+        got = draw_dm_counts(n, C10_06, 5.0, gen, N, table)
+        want = table.draw(ref.random((table.n_uniforms, N)))
+        assert got.tobytes() == want.tobytes() and got.flags.f_contiguous
+        assert gen.random() == ref.random()
+
+
 # Reference copies of the draws as they were before the ensemble stopped
 # copying its (B, K, C) temporaries.  The lean code must give the same bytes.
 
